@@ -888,10 +888,13 @@ impl CloudServer {
     /// epoch before this update either read the post-update index (valid
     /// fill) or is rejected by the epoch bump (stale fill) — it can never
     /// park a pre-update ranking.
+    ///
+    /// The new files are ingested *before* the postings land, so any
+    /// search that ranks a new document finds its file to return.
     pub fn apply_update(&self, update: rsse_core::IndexUpdate, new_files: Vec<EncryptedFile>) {
         let touched: Vec<Label> = update.labels().copied().collect();
-        update.apply_to(&mut self.rsse_index.write());
         self.files.write().ingest(new_files);
+        update.apply_to(&mut self.rsse_index.write());
         {
             let mut cache = self.cache.write();
             for label in &touched {

@@ -46,15 +46,23 @@ impl SemanticCipher {
         }
     }
 
+    /// XORs `data` with the keystream `AES(nonce), AES(nonce + 1), …`
+    /// (counter arithmetic mod 2^128). Counter blocks are encrypted in
+    /// pairs through [`Aes128::encrypt_blocks`]; only an odd last block
+    /// goes alone. A 24-byte entry body is exactly one pair.
     fn keystream_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
         let mut counter = u128::from_be_bytes(*nonce);
-        for chunk in data.chunks_mut(BLOCK_LEN) {
-            let mut block = counter.to_be_bytes();
-            self.aes.encrypt_block(&mut block);
-            for (d, k) in chunk.iter_mut().zip(block.iter()) {
-                *d ^= k;
+        for chunk in data.chunks_mut(2 * BLOCK_LEN) {
+            if chunk.len() > BLOCK_LEN {
+                let mut pair = [counter.to_be_bytes(), counter.wrapping_add(1).to_be_bytes()];
+                self.aes.encrypt_blocks(&mut pair);
+                xor_into(chunk, pair.as_flattened());
+                counter = counter.wrapping_add(2);
+            } else {
+                let mut block = counter.to_be_bytes();
+                self.aes.encrypt_block(&mut block);
+                xor_into(chunk, &block);
             }
-            counter = counter.wrapping_add(1);
         }
     }
 
@@ -116,6 +124,13 @@ impl SemanticCipher {
         scratch.extend_from_slice(&ciphertext[NONCE_LEN..]);
         self.keystream_xor(&nonce, scratch);
         Ok(())
+    }
+}
+
+/// XORs `keystream` into `data` (over the shorter of the two).
+fn xor_into(data: &mut [u8], keystream: &[u8]) {
+    for (d, k) in data.iter_mut().zip(keystream) {
+        *d ^= k;
     }
 }
 

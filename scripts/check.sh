@@ -13,6 +13,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The root `cargo test` runs only the root package. The crypto crate's
+# FIPS-197 / SP 800-38A vectors, its known-answer pins, and the proptest
+# holding the T-table AES rounds equal to the spec-form cipher live in
+# rsse-crypto itself.
+echo "==> cargo test -q -p rsse-crypto"
+cargo test -q -p rsse-crypto
+
 # The serving-path hardening suites, named explicitly so a filtered local
 # run cannot silently skip them: codec fuzzing (decode never panics, never
 # over-allocates) and pool fault injection (contained panics, deadlines,
@@ -20,8 +27,12 @@ cargo test -q
 echo "==> cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc"
 cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 
-echo "==> cargo test -q --test pool_faults"
-cargo test -q --test pool_faults
+# Repeated: the pool suite times its overload shed and deadlines, so a
+# single green run could hide a flake.
+for run in $(seq 1 10); do
+    echo "==> cargo test -q --test pool_faults (run $run/10)"
+    cargo test -q --test pool_faults
+done
 
 # The sharding layer's tentpole guarantees: scatter-gather ranking is
 # byte-identical to the single-server search for shard counts 1-8, and

@@ -13,8 +13,7 @@ use rsse::cloud::server_loop::{Fault, PoolOptions, ServerHandle};
 use rsse::cloud::{CloudError, ErrorKind, Message, MeteredChannel, SearchMode};
 use rsse::core::RsseParams;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Barrier, Once};
 use std::time::{Duration, Instant};
 
 /// Silences the default panic printout for the panics this suite injects
@@ -126,57 +125,62 @@ fn deadline_fires_against_a_wedged_worker() {
 
 #[test]
 fn full_backlog_sheds_with_an_overloaded_error_without_blocking() {
-    let (owner, handle) =
-        spawn_with(PoolOptions::new(1, 1).with_io_delay(Duration::from_millis(100)));
+    // The single worker parks inside the fault hook on a conjunctive
+    // request until the test releases it: the barrier's first wait says
+    // the worker holds the request, the second lets it go.
+    let gate = Arc::new(Barrier::new(2));
+    let hook_gate = Arc::clone(&gate);
+    let (owner, handle) = spawn_with(PoolOptions::new(1, 1).with_fault(move |msg| {
+        if matches!(msg, Message::ConjunctiveRequest { .. }) {
+            hook_gate.wait();
+            hook_gate.wait();
+        }
+        None
+    }));
     let client = handle.client();
     let req = search(&owner, Some(1));
 
-    // Two filler clients hammer the single worker and single backlog slot
-    // so the queue is full nearly all the time; this client then
-    // overflows: its shed must be an immediate Overloaded, not a block.
-    let stop = Arc::new(AtomicBool::new(false));
-    let fillers: Vec<_> = (0..2)
-        .map(|_| {
-            let filler = handle.client();
-            let req = req.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    if filler.call(req.clone()).is_err() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-        })
-        .collect();
+    // Hold the worker, then occupy the one backlog slot explicitly.
+    let held = client
+        .call_async(
+            owner
+                .authorize_user()
+                .conjunctive_request("network system", Some(3))
+                .unwrap(),
+        )
+        .unwrap();
+    gate.wait();
+    let queued = client.call_async(req.clone()).unwrap();
 
-    let mut shed = None;
-    let give_up = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < give_up {
-        let started = Instant::now();
-        // Anything else means we raced a free slot (or got served): retry.
-        if let Err(CloudError::Server {
-            kind: ErrorKind::Overloaded,
-            detail,
-        }) = client.call(req.clone())
-        {
-            shed = Some((started.elapsed(), detail));
-            break;
-        }
-    }
-    let (latency, detail) = shed.expect("a 1-worker/1-slot pool under load must shed");
+    // The backlog is full for certain: this call must shed at once with
+    // an Overloaded frame instead of blocking.
+    let started = Instant::now();
+    let shed = client.call(req.clone());
+    let latency = started.elapsed();
+    let Err(CloudError::Server {
+        kind: ErrorKind::Overloaded,
+        detail,
+    }) = shed
+    else {
+        panic!("a held 1-worker/1-slot pool must shed, got {shed:?}");
+    };
     assert!(
         latency < Duration::from_millis(50),
         "shedding must not block on the backlog, took {latency:?}"
     );
     assert!(detail.contains("backlog"), "detail: {detail}");
 
-    stop.store(true, Ordering::Relaxed);
-    for filler in fillers {
-        filler.join().unwrap();
-    }
-    // The overload was transient: once the hammering stops, the same pool
-    // serves normally again.
+    // Release the worker: both admitted requests are served, and the
+    // overload was transient — the same pool serves normally again.
+    gate.wait();
+    assert!(matches!(
+        held.wait(None).unwrap(),
+        Message::ConjunctiveResponse { .. }
+    ));
+    assert!(matches!(
+        queued.wait(None).unwrap(),
+        Message::RsseResponse { .. }
+    ));
     assert!(matches!(
         client.call(req).unwrap(),
         Message::RsseResponse { .. }
