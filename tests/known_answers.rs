@@ -9,11 +9,18 @@
 //! this digest, and so every index already on disk, unchanged. The
 //! owner's file ciphertexts (AES-CTR under the file key, nonce bound to
 //! the file id) are pinned the same way.
+//!
+//! The primitives under the index are pinned one by one as well — the
+//! `Tape` coin stream, `hygeinv` draws, and OPM ciphertexts — so a
+//! faster HMAC or sampler that changes an output fails at the layer that
+//! broke, not only in the whole-index digest.
 
 use rsse::cloud::FileCrypter;
-use rsse::core::{Rsse, RsseParams};
-use rsse::crypto::{Digest, Sha256};
+use rsse::core::{Rsse, RsseIndex, RsseParams};
+use rsse::crypto::{Digest, SecretKey, Sha256, Tape};
+use rsse::hgd::{hygeinv, MAX_POPULATION};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
+use rsse::opse::{Opm, OpseParams};
 
 /// SHA-256 of `RsseIndex::save` over [`corpus`] under [`SEED`].
 const INDEX_SHA256: &str = "771c6d9a987c1d35d7dea3b2963e5a72b5137a63a2b9309a5593ebfe8f6fe098";
@@ -29,6 +36,39 @@ const NUM_DOCS: usize = 36;
 /// Master seed of the pinned build and file key.
 const SEED: &[u8] = b"known answers";
 
+/// First 64 bytes of `Tape::new(key, TAPE_TRANSCRIPT)`, for the key
+/// bytes `00..1f` and for `SecretKey::derive(SEED, "tape")`.
+const TAPE_TRANSCRIPT: &[u8] = b"known answer transcript";
+const TAPE_64: [&str; 2] = [
+    "f1f3b7613344dbc2eb18ea36e3c4fb17626985ddfc4b4e3c1cdacefb02f7c8ee\
+     a63ec8b26404c88578a452fb2f1dcbcda61699e4c5c62023ac72f0ea1b8fc87a",
+    "b859937dae4069c2a41821aee5a473d524605c6833d3fb05db2b3feaa2441445\
+     ae36d1bc38b735f0fa5a4c49b11d61088a473fb0baa95fd5b7a1429b3f9de716",
+];
+
+/// `(m, N, n)` and the first four `hygeinv(tape, m, N, n)` draws off a
+/// fresh `Tape::new(key 00..1f, b"hygeinv")`: the paper's running
+/// `M = 128` over `|R| = 2^46`, a small population, and one at
+/// `MAX_POPULATION`.
+const HYGEINV_DRAWS: [(u64, u64, u64, [u64; 4]); 3] = [
+    (128, 1 << 46, 1 << 45, [65, 69, 66, 62]),
+    (37, 1000, 250, [10, 11, 10, 8]),
+    (1 << 20, MAX_POPULATION, 1 << 40, [260, 269, 261, 250]),
+];
+
+/// `Opm::encrypt(m, b"file-0001")` under `SecretKey::derive(SEED, "opm")`
+/// and the paper's `M = 128`, `|R| = 2^46`, at the lowest, a middle and
+/// the highest score level.
+const OPM_CIPHERTEXTS: [(u64, u64); 3] = [
+    (1, 875_864_618_378),
+    (64, 38_466_039_833_107),
+    (128, 70_328_357_645_635),
+];
+
+fn key_00_1f() -> SecretKey {
+    SecretKey::from_bytes(core::array::from_fn(|i| i as u8))
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -40,9 +80,13 @@ fn corpus() -> SyntheticCorpus {
     })
 }
 
-fn saved_index_bytes() -> Vec<u8> {
+fn pinned_index() -> RsseIndex {
     let scheme = Rsse::new(SEED, RsseParams::default());
-    let index = scheme.build_index(corpus().documents()).unwrap();
+    scheme.build_index(corpus().documents()).unwrap()
+}
+
+fn saved_index_bytes() -> Vec<u8> {
+    let index = pinned_index();
     let mut bytes = Vec::new();
     index.save(&mut bytes).unwrap();
     bytes
@@ -64,4 +108,45 @@ fn file_ciphertexts_match_pin() {
     }
     let got = hex(&digest.finalize());
     assert_eq!(got, FILES_SHA256);
+}
+
+/// A one-generation store is the `RsseIndex::save` format byte for byte:
+/// the base generation `save_generational` writes hashes to the same pin.
+#[test]
+fn base_generation_bytes_match_the_saved_index_pin() {
+    let dir = std::env::temp_dir().join(format!("rsse_known_answers_gen_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    pinned_index().save_generational(&dir).unwrap();
+    let bytes = std::fs::read(dir.join("gen-000000.seg")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(hex(&Sha256::digest(&bytes)), INDEX_SHA256);
+}
+
+#[test]
+fn tape_streams_match_pin() {
+    for (key, want) in [key_00_1f(), SecretKey::derive(SEED, "tape")]
+        .iter()
+        .zip(TAPE_64)
+    {
+        let mut out = [0u8; 64];
+        Tape::new(key, TAPE_TRANSCRIPT).fill_bytes(&mut out);
+        assert_eq!(hex(&out), want);
+    }
+}
+
+#[test]
+fn hygeinv_draws_match_pin() {
+    for (m, population, draws, want) in HYGEINV_DRAWS {
+        let mut tape = Tape::new(&key_00_1f(), b"hygeinv");
+        let got = want.map(|_| hygeinv(&mut tape, m, population, draws).unwrap());
+        assert_eq!(got, want, "hygeinv(m={m}, N={population}, n={draws})");
+    }
+}
+
+#[test]
+fn opm_ciphertexts_match_pin() {
+    let opm = Opm::new(SecretKey::derive(SEED, "opm"), OpseParams::paper_default());
+    for (m, want) in OPM_CIPHERTEXTS {
+        assert_eq!(opm.encrypt(m, b"file-0001").unwrap(), want, "m={m}");
+    }
 }
