@@ -40,9 +40,10 @@
 //!   (gated below — the fan-out overhead may no longer swamp the
 //!   routing wins).
 //! * **cpu_segment** — the cpu scenario again, but the server serves
-//!   straight from an on-disk `RSSEIDX2` segment (per-label positional
-//!   reads + delta overlay) instead of the in-memory arena. Steady state
-//!   must hold at least 0.5x the mem backend's requests/s (gated below).
+//!   straight from an on-disk one-generation store — a single `RSSEIDX2`
+//!   segment (per-label positional reads + overlay) — instead of the
+//!   in-memory arena. Steady state must hold at least 0.5x the mem
+//!   backend's requests/s (gated below).
 //! * **conjunctive** — multi-keyword intersection serving: single-frame
 //!   `ConjunctiveRequest`s drawn Zipf from a small pool of two-keyword
 //!   queries, run with the conjunctive result cache at its default
@@ -72,9 +73,10 @@
 //!
 //! Before the closed loops, a **cold-start** pair times warm restarts:
 //! fully loading a saved index into memory versus opening it as a
-//! segment (directory only), and rebuilding a whole deployment from
-//! plaintext versus bootstrapping it from the saved segment — each
-//! through its first answered query, results asserted identical.
+//! one-generation store (manifest + directory only), and rebuilding a
+//! whole deployment from plaintext versus bootstrapping it from the
+//! saved store — each through its first answered query, results
+//! asserted identical.
 //!
 //! Results are written as `BENCH_throughput.json` (requests/s, p50/p99
 //! latency, cache hits/misses, speedup vs the single-worker loop per
@@ -162,24 +164,14 @@ struct Scenario {
     /// Draw keywords Zipf-distributed from the top terms instead of
     /// hammering the single hot keyword.
     zipf: bool,
-    /// Serve from an on-disk `RSSEIDX2` segment instead of the in-memory
-    /// arena.
+    /// Serve from an on-disk one-generation store (one `RSSEIDX2`
+    /// segment) instead of the in-memory arena.
     segment: bool,
     workers: &'static [usize],
 }
 
-/// Unique scratch path for a segment file, so concurrent runs never
-/// collide.
-fn scratch_path(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "rsse_throughput_{tag}_{}_{n}.idx",
-        std::process::id()
-    ))
-}
-
-/// Unique scratch directory for a generational store.
+/// Unique scratch directory for a generational store, so concurrent
+/// runs never collide.
 fn scratch_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -282,11 +274,11 @@ fn run_config(
     seed: u64,
 ) -> ConfigResult {
     let msg = Message::decode(outsource_frame.clone()).unwrap();
-    let (server, seg_path) = if scenario.segment {
-        let path = scratch_path(scenario.name);
-        let server = CloudServer::from_outsource_segment(msg, &path, scenario.cache_budget)
+    let (server, seg_dir) = if scenario.segment {
+        let dir = scratch_dir(scenario.name);
+        let server = CloudServer::from_outsource_generational(msg, &dir, scenario.cache_budget)
             .expect("outsource frame persists and boots the segment server");
-        (server, Some(path))
+        (server, Some(dir))
     } else {
         let server = CloudServer::from_outsource_with_cache(msg, scenario.cache_budget)
             .expect("outsource frame boots the server");
@@ -359,8 +351,8 @@ fn run_config(
     let cache = handle.server().cache_stats();
     let served = handle.shutdown();
     assert_eq!(served, frames as u64, "pool lost or double-counted frames");
-    if let Some(path) = seg_path {
-        let _ = std::fs::remove_file(path);
+    if let Some(dir) = seg_dir {
+        let _ = std::fs::remove_dir_all(dir);
     }
     if scenario.cache_budget == 0 {
         assert_eq!(
@@ -1312,37 +1304,44 @@ fn run_conjunctive_sharded(
 struct ColdStart {
     /// `RsseIndex::load` (full file into the in-memory arena) + search.
     index_full_load_s: f64,
-    /// `RsseIndex::open_segment` (header + directory only) + search.
+    /// `RsseIndex::open_generational` on the saved one-generation store
+    /// (manifest + directory only) + search.
     index_segment_open_s: f64,
     /// `Deployment::bootstrap` (index rebuilt from plaintext) + search.
     deploy_rebuild_s: f64,
-    /// `Deployment::bootstrap_from_segment` (no index build) + search.
-    deploy_from_segment_s: f64,
+    /// `Deployment::bootstrap_from_generations` (no index build) + search.
+    deploy_warm_s: f64,
 }
 
 /// Time-to-first-query, mem versus segment, at both layers. The mem leg
 /// pays for materializing every posting list (index layer) or rebuilding
 /// the whole encrypted index from plaintext (deployment layer); the
-/// segment leg opens the saved `RSSEIDX2` file and reads only the one
-/// posting list the query touches. First-query results are asserted
-/// identical before any number is published.
+/// segment leg opens the saved one-generation store — one `RSSEIDX2`
+/// file — and reads only the one posting list the query touches.
+/// First-query results are asserted identical before any number is
+/// published.
 fn run_cold_start(docs: &[Document]) -> ColdStart {
     let params = RsseParams::default();
     let scheme = Rsse::new(b"throughput seed", params);
     let index = scheme.build_index(docs).expect("index build");
-    let seg_path = scratch_path("cold");
-    index
-        .save(std::fs::File::create(&seg_path).expect("create segment"))
-        .expect("save segment");
+    let seg_dir = scratch_dir("cold");
+    let seg_path = {
+        let saved = index.save_generational(&seg_dir).expect("save segment");
+        let mut paths = saved.pin_generations().expect("on disk").segment_paths();
+        assert_eq!(paths.len(), 1, "a saved store is one generation");
+        paths.remove(0)
+    };
     let trapdoor = scheme.trapdoor(HOT_KEYWORD).expect("trapdoor");
 
+    // The base generation is the `RsseIndex::save` byte stream, so the
+    // mem leg loads the very file the segment leg serves from.
     let t = Instant::now();
     let mem = RsseIndex::load(std::fs::File::open(&seg_path).expect("open")).expect("load");
     let mem_first = mem.search(&trapdoor, Some(10));
     let index_full_load_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let seg = RsseIndex::open_segment(&seg_path).expect("open segment");
+    let seg = RsseIndex::open_generational(&seg_dir).expect("open segment");
     let seg_first = seg.search(&trapdoor, Some(10));
     let index_segment_open_s = t.elapsed().as_secs_f64();
     assert_eq!(
@@ -1356,27 +1355,27 @@ fn run_cold_start(docs: &[Document]) -> ColdStart {
     let deploy_rebuild_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let warm = Deployment::bootstrap_from_segment(
+    let warm = Deployment::bootstrap_from_generations(
         b"throughput seed",
         params,
         docs,
-        &seg_path,
+        &seg_dir,
         CloudServer::DEFAULT_CACHE_BUDGET,
     )
     .expect("bootstrap from segment");
     let (warm_docs, _) = warm.rsse_search(HOT_KEYWORD, Some(10)).expect("query");
-    let deploy_from_segment_s = t.elapsed().as_secs_f64();
+    let deploy_warm_s = t.elapsed().as_secs_f64();
     assert_eq!(
         warm_docs, rebuilt_docs,
         "warm restart must retrieve the same ranked documents"
     );
 
-    let _ = std::fs::remove_file(&seg_path);
+    let _ = std::fs::remove_dir_all(&seg_dir);
     ColdStart {
         index_full_load_s,
         index_segment_open_s,
         deploy_rebuild_s,
-        deploy_from_segment_s,
+        deploy_warm_s,
     }
 }
 
@@ -1411,7 +1410,7 @@ fn write_json(path: &str, seed: u64, cold: &ColdStart, results: &[ConfigResult])
         cold.index_full_load_s * 1e3,
         cold.index_segment_open_s * 1e3,
         cold.deploy_rebuild_s * 1e3,
-        cold.deploy_from_segment_s * 1e3,
+        cold.deploy_warm_s * 1e3,
     ));
     out.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -1619,7 +1618,7 @@ fn main() {
         cold.index_full_load_s * 1e3,
         cold.index_segment_open_s * 1e3,
         cold.deploy_rebuild_s * 1e3,
-        cold.deploy_from_segment_s * 1e3,
+        cold.deploy_warm_s * 1e3,
     );
 
     let mut results = Vec::new();
@@ -1875,15 +1874,15 @@ fn main() {
         );
     }
 
-    // Acceptance gate 4: steady-state serving from the on-disk segment
-    // holds at least half the in-memory arena's throughput on the
+    // Acceptance gate 4: steady-state serving from the on-disk
+    // one-generation store holds at least half the in-memory arena's throughput on the
     // compute-bound path — positional reads are the only difference.
     for &workers in &[1usize, 4] {
         let ratio = find("cpu_segment", workers).rps / find("cpu", workers).rps;
         eprintln!("cpu_segment vs cpu at {workers} worker(s): {ratio:.2}x");
         assert!(
             ratio >= 0.5,
-            "segment backend must hold >= 0.5x mem throughput \
+            "the on-disk store must hold >= 0.5x mem throughput \
              (workers={workers}), got {ratio:.2}x"
         );
     }
@@ -1959,9 +1958,9 @@ fn main() {
         cold.index_full_load_s * 1e3,
     );
     assert!(
-        cold.deploy_from_segment_s < cold.deploy_rebuild_s,
+        cold.deploy_warm_s < cold.deploy_rebuild_s,
         "from-segment bootstrap ({:.1} ms) must beat a rebuild ({:.1} ms)",
-        cold.deploy_from_segment_s * 1e3,
+        cold.deploy_warm_s * 1e3,
         cold.deploy_rebuild_s * 1e3,
     );
 

@@ -89,7 +89,7 @@ impl DataOwner {
 
     /// Encrypts the collection without touching either index — the
     /// warm-restart path: the server reopens its index from a persisted
-    /// segment, and only the file ciphertexts (deterministic under the
+    /// generational store, and only the file ciphertexts (deterministic under the
     /// owner's key) need re-supplying.
     pub fn encrypt_files(&self, docs: &[Document]) -> Vec<EncryptedFile> {
         self.files.encrypt_collection(docs)
@@ -285,65 +285,14 @@ impl CloudServer {
     }
 
     /// Boots the server from the owner's `Outsource` message **onto the
-    /// segment backend**: the received index is persisted to
-    /// `segment_path` as an `RSSEIDX2` segment and then served from disk
-    /// via its label→offset directory — only the touched posting list is
-    /// read per query, and a later restart can skip this step entirely by
-    /// calling [`CloudServer::from_segment`] on the same path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CloudServer::from_outsource`], plus [`CloudError::Persist`]
-    /// for failures writing or reopening the segment.
-    pub fn from_outsource_segment(
-        msg: Message,
-        segment_path: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let (rsse_lists, basic_lists, opse, files) = Self::split_outsource(msg)?;
-        let staged = RsseIndex::from_parts(rsse_lists, opse);
-        staged
-            .save(
-                std::fs::File::create(segment_path.as_ref())
-                    .map_err(rsse_core::PersistError::from)?,
-            )
-            .map_err(rsse_core::PersistError::from)?;
-        let index = RsseIndex::open_segment(segment_path)?;
-        Ok(Self::assemble(
-            index,
-            basic_lists,
-            files,
-            cache_budget_bytes,
-        ))
-    }
-
-    /// Warm restart: boots the server straight from a previously saved
-    /// segment file — no `Outsource` message, no index rebuild, no
-    /// materialization; the first query is answerable as soon as the
-    /// directory is read. The basic-scheme index is not persisted (it
-    /// exists for the paper's baseline protocols), so a segment-booted
-    /// server serves the RSSE protocol only.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on malformed or unreadable segment files.
-    pub fn from_segment(
-        segment_path: impl AsRef<std::path::Path>,
-        files: Vec<EncryptedFile>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let index = RsseIndex::open_segment(segment_path)?;
-        Ok(Self::assemble(index, Vec::new(), files, cache_budget_bytes))
-    }
-
-    /// Boots the server from the owner's `Outsource` message **onto the
     /// generational store**: the received index is persisted under `dir`
-    /// as a base generation plus manifest and served from disk. Unlike
-    /// the single-segment backend, later updates flush into cheap L0
-    /// delta generations ([`CloudServer::flush_index`]) and fold back
-    /// together with a *live* compaction that never stops serving
-    /// ([`CloudServer::compact_index_live`]) — the boot path for
-    /// update-heavy deployments.
+    /// as a base generation plus manifest and served from disk via each
+    /// generation's label→offset directory — only the touched posting
+    /// list is read per query, and a later restart can skip this step
+    /// entirely with [`CloudServer::from_generation_dir`]. Updates flush
+    /// into cheap L0 delta generations ([`CloudServer::flush_index`]) and
+    /// fold back together with a *live* compaction that never stops
+    /// serving ([`CloudServer::compact_index_live`]).
     ///
     /// # Errors
     ///
@@ -365,10 +314,12 @@ impl CloudServer {
         ))
     }
 
-    /// Warm restart from a generational store directory — the
-    /// generational counterpart of [`CloudServer::from_segment`]: no
-    /// `Outsource` message, no rebuild; the manifest and per-generation
-    /// directories are read and the first query is served from disk.
+    /// Warm restart from a generational store directory: no `Outsource`
+    /// message, no rebuild, no materialization; the manifest and
+    /// per-generation directories are read and the first query is served
+    /// from disk. The basic-scheme index is not persisted (it exists for
+    /// the paper's baseline protocols), so a server restarted from disk
+    /// serves the RSSE protocol only.
     ///
     /// # Errors
     ///
@@ -917,33 +868,10 @@ impl CloudServer {
         self.filter_watch.store(filter.epoch, Ordering::Release);
     }
 
-    /// Compacts a segment-backed index: folds the delta overlay into a
-    /// freshly written segment file (atomic rename) and reopens it.
-    /// Returns `true` when a rewrite happened — `false` for the in-memory
-    /// backend or an empty overlay. Holds the index write lock for the
-    /// rewrite, and flushes the ranking cache afterwards: compaction
-    /// preserves every ranking, but the conservative flush keeps the
-    /// cache's epoch story simple (a fill racing the compaction can never
-    /// straddle two file identities).
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on I/O or re-validation failures; the old
-    /// segment remains intact and serving.
-    pub fn compact_index(&self) -> Result<bool, CloudError> {
-        let compacted = self.rsse_index.write().compact()?;
-        if compacted {
-            self.note_index_rewrite();
-        }
-        Ok(compacted)
-    }
-
-    /// Flushes pending overlay updates to durable storage. On a
-    /// generational index this seals the overlay into a new L0 delta
-    /// generation under a brief write lock — cost proportional to the
-    /// *overlay*, never the index; on a single-segment index it is a
-    /// full stop-the-world compaction. Either way the logical content is
-    /// unchanged, so cached rankings stay valid and are kept.
+    /// Flushes pending overlay updates to durable storage: seals the
+    /// overlay into a new L0 delta generation under a brief write lock —
+    /// cost proportional to the *overlay*, never the index. The logical
+    /// content is unchanged, so cached rankings stay valid and are kept.
     ///
     /// # Errors
     ///
@@ -960,8 +888,7 @@ impl CloudServer {
     /// pause is the atomic pointer flip, reported as
     /// [`rsse_core::CompactionStats::install_pause`]. Returns the merge
     /// statistics, or `None` when there was nothing to merge (fewer than
-    /// two generations, or a non-generational backend — those compact
-    /// stop-the-world via [`CloudServer::compact_index`]).
+    /// two generations, or the in-memory backend).
     ///
     /// # Errors
     ///
@@ -1018,8 +945,8 @@ impl CloudServer {
         self.rsse_index.read().generation_stats()
     }
 
-    /// After any durable index rewrite (segment compaction, generational
-    /// flush + merge): flush the ranking cache and bump the filter epoch.
+    /// After any durable index rewrite (a generational flush + merge):
+    /// flush the ranking cache and bump the filter epoch.
     /// Rewrites preserve every ranking and every label owner, but the
     /// conservative flush keeps the epoch story simple — a fill or a
     /// router decision racing the rewrite re-validates instead of
@@ -1357,68 +1284,6 @@ impl Deployment {
         })
     }
 
-    /// [`Deployment::bootstrap`] onto the on-disk segment backend: the
-    /// built index is persisted to `segment_path` and served from disk
-    /// (see [`CloudServer::from_outsource_segment`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction and segment I/O failures.
-    pub fn bootstrap_segmented(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        segment_path: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let owner = DataOwner::new(master_seed, params);
-        let mut channel = MeteredChannel::new();
-        let outsource = owner.outsource(docs)?;
-        let frame = outsource.encode();
-        channel.send_up(frame.len());
-        let server = CloudServer::from_outsource_segment(
-            Message::decode(frame)?,
-            segment_path,
-            cache_budget_bytes,
-        )?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
-            server: Arc::new(server),
-            user,
-            owner,
-            setup_traffic: channel.report(),
-        })
-    }
-
-    /// Warm restart from a previously saved segment: derives the owner's
-    /// and user's keys from the seed, re-encrypts the file collection
-    /// (deterministic under the owner's key), and boots the server with
-    /// [`CloudServer::from_segment`] — the encrypted index is **not**
-    /// rebuilt; the first query is served straight off the segment file.
-    /// `setup_traffic` is zero: nothing crossed the outsourcing wire.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on malformed or unreadable segments.
-    pub fn bootstrap_from_segment(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        segment_path: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let owner = DataOwner::new(master_seed, params);
-        let server =
-            CloudServer::from_segment(segment_path, owner.encrypt_files(docs), cache_budget_bytes)?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
-            server: Arc::new(server),
-            user,
-            owner,
-            setup_traffic: TrafficReport::default(),
-        })
-    }
-
     /// [`Deployment::bootstrap`] onto the generational store: the built
     /// index is persisted under `dir` (base generation + manifest) and
     /// served from disk, with updates flushing into L0 deltas and live
@@ -1454,11 +1319,13 @@ impl Deployment {
         })
     }
 
-    /// Warm restart from a generational store directory — the
-    /// generational counterpart of [`Deployment::bootstrap_from_segment`]:
-    /// keys are re-derived from the seed, files re-encrypted, and the
-    /// server boots straight off the manifest with no index rebuild.
-    /// `setup_traffic` is zero: nothing crossed the outsourcing wire.
+    /// Warm restart from a generational store directory: derives the
+    /// owner's and user's keys from the seed, re-encrypts the file
+    /// collection (deterministic under the owner's key), and boots the
+    /// server with [`CloudServer::from_generation_dir`] — the encrypted
+    /// index is **not** rebuilt; the first query is served straight off
+    /// the generation files. `setup_traffic` is zero: nothing crossed the
+    /// outsourcing wire.
     ///
     /// # Errors
     ///
@@ -1481,25 +1348,6 @@ impl Deployment {
             owner,
             setup_traffic: TrafficReport::default(),
         })
-    }
-
-    /// Persists the server's current index to `path` as an `RSSEIDX2`
-    /// segment (holding the index read lock for the write), so a later
-    /// process can [`Deployment::bootstrap_from_segment`] without
-    /// rebuilding. Pending segment-overlay entries are folded into the
-    /// written file (`save` exports the merged view).
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on I/O failures.
-    pub fn save_segment(&self, path: impl AsRef<std::path::Path>) -> Result<(), CloudError> {
-        let file = std::fs::File::create(path.as_ref()).map_err(rsse_core::PersistError::from)?;
-        self.server
-            .rsse_index
-            .read()
-            .save(file)
-            .map_err(rsse_core::PersistError::from)?;
-        Ok(())
     }
 
     /// The authorized user.

@@ -1537,54 +1537,6 @@ impl ShardedDeployment {
         })
     }
 
-    /// [`Self::bootstrap`] onto the on-disk segment backend: each shard's
-    /// partition of the (globally built) index is persisted to
-    /// `segment_dir/shard-<i>.idx` and served from disk via
-    /// [`CloudServer::from_outsource_segment`] — one segment per shard,
-    /// same ciphertexts, so sharded rankings stay byte-identical to the
-    /// in-memory path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures and segment I/O failures.
-    pub fn bootstrap_segmented(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        num_shards: usize,
-        segment_dir: impl AsRef<std::path::Path>,
-        options: PoolOptions,
-    ) -> Result<Self, CloudError> {
-        let segment_dir = segment_dir.as_ref();
-        std::fs::create_dir_all(segment_dir).map_err(rsse_core::PersistError::from)?;
-        let owner = DataOwner::new(master_seed, params);
-        let partitioner = IndexPartitioner::new(num_shards);
-        let handles: Vec<ServerHandle> = owner
-            .outsource_sharded(docs, &partitioner)?
-            .into_iter()
-            .enumerate()
-            .map(|(shard, outsource)| {
-                let frame = outsource.encode();
-                let server = CloudServer::from_outsource_segment(
-                    Message::decode(frame)?,
-                    segment_dir.join(format!("shard-{shard}.idx")),
-                    CloudServer::DEFAULT_CACHE_BUDGET,
-                )?;
-                Ok(ServerHandle::spawn_pool_with(server, options.clone()))
-            })
-            .collect::<Result<_, CloudError>>()?;
-        let router = ShardRouter::new(handles.iter().map(ServerHandle::client).collect());
-        let user = owner.authorize_user();
-        Ok(ShardedDeployment {
-            owner,
-            user,
-            partitioner,
-            handles,
-            replicas_per_shard: 1,
-            router,
-        })
-    }
-
     /// [`Self::bootstrap`] onto the generational store: each shard's
     /// partition is persisted under `store_dir/shard-<i>/` (base
     /// generation + manifest) and served from disk via

@@ -1,10 +1,12 @@
-//! The generational segment store: L0 delta flushes, live background
-//! compaction, and epoch-based reclaim.
+//! The generational segment store — the on-disk storage engine: L0
+//! delta flushes, live background compaction, and epoch-based reclaim.
 //!
-//! [`crate::segment::SegmentBackend`] rewrites its whole file on every
-//! compaction, stop-the-world. This module grows that single file into a
-//! small LSM-shaped **generation stack** so heavy update streams never
-//! force a full rewrite on the serving path:
+//! The index lives in a small LSM-shaped **generation stack** of
+//! `RSSEIDX2` segment files (each read through a crate-internal
+//! `SegmentReader`), so heavy update streams never force a full rewrite
+//! on the serving path. A freshly outsourced or saved index is a
+//! one-generation store whose base file is byte-for-byte what
+//! [`RsseIndex::save`] writes:
 //!
 //! ```text
 //!  dir/MANIFEST        which generations exist, in merge order
@@ -13,17 +15,18 @@
 //!  dir/gen-000002.seg  another delta ...
 //! ```
 //!
-//! Updates land in the in-memory overlay exactly as before; a **flush**
-//! seals the overlay into a new delta generation (cheap: proportional to
-//! the overlay, not the index). A **live compaction** merges the whole
+//! Updates land in an in-memory overlay; a **flush** seals the overlay
+//! into a new delta generation (cheap: proportional to the overlay, not
+//! the index). A **live compaction** merges the whole
 //! stack into one fresh generation on a background thread *while queries
 //! keep serving* from the old stack + overlay, then installs it with an
 //! atomic pointer flip. A query ranks each generation's list as one
-//! stream and merges them with [`merge_ranked_streams`] — the same
-//! total-order argument that makes base+overlay merging byte-identical
-//! makes the N-generation merge byte-identical to the in-memory ranking,
-//! because generations hold disjoint *time slices* of each posting list
-//! in insertion order.
+//! stream and merges them with [`merge_ranked_streams`]. Because
+//! [`RankedResult`]'s order is total (OPM score descending, ties toward
+//! the smaller file id) and generations hold disjoint *time slices* of
+//! each posting list in insertion order — the exact ciphertexts a
+//! [`MemBackend`](crate::backend::MemBackend) would hold — the
+//! N-generation merge is byte-identical to the in-memory ranking.
 //!
 //! # The flip/reclaim protocol
 //!
@@ -61,7 +64,7 @@
 //! server process, now persisted. Compaction folds the generations back
 //! into one file whose layout is a deterministic function of the public
 //! shape (label set + list lengths), so the steady state leaks nothing
-//! beyond the single-segment backend. See DESIGN.md §6.6.
+//! beyond a saved `RSSEIDX2` file. See DESIGN.md §6.6.
 
 use crate::backend::IndexBackend;
 use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
@@ -72,6 +75,7 @@ use crate::store::PostingStore;
 use crate::RsseIndex;
 use rsse_crypto::SemanticCipher;
 use rsse_opse::OpseParams;
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -301,7 +305,7 @@ impl GenerationPin {
 /// an in-memory overlay — see the module docs for layout and protocol.
 ///
 /// Cloning shares the generation stack (and compaction state); each
-/// clone carries its own overlay, like [`crate::SegmentBackend`].
+/// clone carries its own copy of the (small) overlay.
 #[derive(Debug, Clone)]
 pub struct GenerationalBackend {
     dir: PathBuf,
@@ -314,7 +318,8 @@ pub struct GenerationalBackend {
 
 impl GenerationalBackend {
     /// Creates a new store at `dir`: writes the base generation from
-    /// `index` and the initial manifest, all durably.
+    /// `index` (the [`RsseIndex::save`] bytes) and the initial manifest,
+    /// all durably.
     pub fn create(
         io: Arc<dyn SegmentIo>,
         dir: impl AsRef<Path>,
@@ -322,22 +327,7 @@ impl GenerationalBackend {
     ) -> Result<Self, PersistError> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir)?;
-        let opse = index
-            .opse_params()
-            .copied()
-            .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"));
-        let path = dir.join(gen_file_name(0));
-        let parts = index.export_parts();
-        let out = io.create(&path)?;
-        let mut w = SegmentWriter::new(out, &opse, parts.len() as u64)?;
-        for (label, entries) in parts {
-            w.begin_list(label, entries.len() as u64)?;
-            for e in entries {
-                w.write_entry(&e)?;
-            }
-            w.end_list();
-        }
-        let mut out = w.finish()?;
+        let mut out = index.write_segment(io.create(&dir.join(gen_file_name(0)))?)?;
         out.sync()?;
         drop(out);
         write_manifest(io.as_ref(), &dir, 1, 1, &[0])?;
@@ -549,7 +539,9 @@ impl GenerationalBackend {
     ///
     /// Takes an instant snapshot of the generation stack and never
     /// touches compaction state again — a query in flight across a flip
-    /// keeps ranking against its snapshot, byte-identical either way.
+    /// keeps ranking against its snapshot, byte-identical either way. A
+    /// list that fails to read (e.g. the file was truncated behind a live
+    /// handle) degrades to an empty stream rather than failing the query.
     pub(crate) fn search(
         &self,
         trapdoor: &RsseTrapdoor,
@@ -557,42 +549,16 @@ impl GenerationalBackend {
         scratch: &mut Vec<u8>,
     ) -> Vec<RankedResult> {
         let set = self.shared.current_set();
-        let overlay_list = self.overlay.list(trapdoor.label());
-        let in_base = set
-            .segments
-            .iter()
-            .any(|s| s.reader.directory().contains_key(trapdoor.label()));
-        if !in_base && overlay_list.is_none() {
-            return Vec::new();
-        }
-        let cipher = SemanticCipher::new(trapdoor.list_key());
-        let mut streams: Vec<Vec<RankedResult>> = Vec::new();
-        for seg in &set.segments {
-            if let Some(ranked) = seg
-                .reader
-                .rank_label(trapdoor.label(), &cipher, top_k, scratch)
-            {
-                if !ranked.is_empty() {
-                    streams.push(ranked);
-                }
-            }
-        }
-        if let Some(pl) = overlay_list {
-            if !pl.is_empty() {
-                let ranked = rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch);
-                if !ranked.is_empty() {
-                    streams.push(ranked);
-                }
-            }
-        }
-        match streams.len() {
-            0 => Vec::new(),
-            1 => streams.pop().expect("one stream"),
-            _ => {
-                let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
-                merge_ranked_streams(&refs, top_k)
-            }
-        }
+        let label = trapdoor.label();
+        let lists = set.segments.iter().filter_map(|seg| {
+            let meta = seg.reader.directory().get(label)?;
+            Some(
+                seg.reader
+                    .read_list(meta)
+                    .unwrap_or_else(|_| ListBytes::empty()),
+            )
+        });
+        self.rank_label(trapdoor, lists, top_k, scratch)
     }
 
     /// Batched [`Self::search`]: every generation file reads the posting
@@ -625,41 +591,53 @@ impl GenerationalBackend {
         trapdoors
             .iter()
             .map(|trapdoor| {
-                let overlay_list = self.overlay.list(trapdoor.label());
-                let in_base = per_segment.iter().any(|m| m.contains_key(trapdoor.label()));
-                if !in_base && overlay_list.is_none() {
-                    return Vec::new();
-                }
-                let cipher = SemanticCipher::new(trapdoor.list_key());
-                let mut streams: Vec<Vec<RankedResult>> = Vec::new();
-                for lists in &per_segment {
-                    if let Some(list) = lists.get(trapdoor.label()) {
-                        let ranked =
-                            rank_entries(list.entries(), list.len(), &cipher, top_k, scratch);
-                        if !ranked.is_empty() {
-                            streams.push(ranked);
-                        }
-                    }
-                }
-                if let Some(pl) = overlay_list {
-                    if !pl.is_empty() {
-                        let ranked = rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch);
-                        if !ranked.is_empty() {
-                            streams.push(ranked);
-                        }
-                    }
-                }
-                match streams.len() {
-                    0 => Vec::new(),
-                    1 => streams.pop().expect("one stream"),
-                    _ => {
-                        let refs: Vec<&[RankedResult]> =
-                            streams.iter().map(Vec::as_slice).collect();
-                        merge_ranked_streams(&refs, top_k)
-                    }
-                }
+                let lists = per_segment.iter().filter_map(|m| m.get(trapdoor.label()));
+                self.rank_label(trapdoor, lists, top_k, scratch)
             })
             .collect()
+    }
+
+    /// The per-label step of [`Self::search`] and [`Self::search_batch`]:
+    /// rank each generation's list under the trapdoor's label (`lists`,
+    /// present lists only, oldest generation first) and the overlay's as
+    /// separate streams, then merge them with [`merge_ranked_streams`].
+    fn rank_label<L: Borrow<ListBytes>>(
+        &self,
+        trapdoor: &RsseTrapdoor,
+        lists: impl Iterator<Item = L>,
+        top_k: Option<usize>,
+        scratch: &mut Vec<u8>,
+    ) -> Vec<RankedResult> {
+        let mut lists = lists.peekable();
+        let overlay_list = self.overlay.list(trapdoor.label());
+        if lists.peek().is_none() && overlay_list.is_none() {
+            return Vec::new();
+        }
+        let cipher = SemanticCipher::new(trapdoor.list_key());
+        let mut streams: Vec<Vec<RankedResult>> = Vec::new();
+        for list in lists {
+            let list = list.borrow();
+            let ranked = rank_entries(list.entries(), list.len(), &cipher, top_k, scratch);
+            if !ranked.is_empty() {
+                streams.push(ranked);
+            }
+        }
+        if let Some(pl) = overlay_list {
+            if !pl.is_empty() {
+                let ranked = rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch);
+                if !ranked.is_empty() {
+                    streams.push(ranked);
+                }
+            }
+        }
+        match streams.len() {
+            0 => Vec::new(),
+            1 => streams.pop().expect("one stream"),
+            _ => {
+                let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
+                merge_ranked_streams(&refs, top_k)
+            }
+        }
     }
 
     /// Counters of the batched-read path since open.
@@ -957,6 +935,69 @@ mod tests {
         assert_eq!(store.stats().reclaimed_segments, 3);
         assert_eq!(store.list_len(&label(1)), Some(3));
         assert_eq!(store.list_len(&label(9)), Some(1));
+    }
+
+    #[test]
+    fn batch_reads_match_serial_and_count_saved_seeks() {
+        use crate::{Rsse, RsseParams};
+        use rsse_ir::{Document, FileId, InvertedIndex};
+        let scheme = Rsse::new(b"batch reads", RsseParams::default());
+        let docs = vec![
+            Document::new(FileId::new(1), "alpha beta gamma delta"),
+            Document::new(FileId::new(2), "alpha gamma gamma delta"),
+        ];
+        let updater = scheme.updater_for(&InvertedIndex::build(&docs)).unwrap();
+        let index = scheme.build_index(&docs).unwrap();
+        let io = MemIo::new();
+        let mut store =
+            GenerationalBackend::create(io.shared(), Path::new("/gen"), &index).unwrap();
+        let add = |store: &mut GenerationalBackend, id: u64, text: &str| {
+            let doc = Document::new(FileId::new(id), text);
+            for (label, entries) in updater.add_document(&doc).unwrap().into_parts() {
+                store.append(label, &entries);
+            }
+        };
+        // A delta generation holding fresh "alpha" and "gamma" entries,
+        // plus one more "alpha" entry left in the overlay.
+        add(&mut store, 3, "alpha gamma");
+        assert!(store.flush().unwrap());
+        add(&mut store, 4, "alpha");
+        assert_eq!(store.stats().segments, 2);
+
+        // Every generation lays its lists out in label order, so querying
+        // in descending label order makes each unique hop a backward seek
+        // the sorted schedule eliminates; the repeat is read once.
+        let mut trapdoors: Vec<RsseTrapdoor> = ["alpha", "beta", "gamma", "delta"]
+            .iter()
+            .map(|w| scheme.trapdoor(w).unwrap())
+            .collect();
+        trapdoors.sort_by(|a, b| b.label().cmp(a.label()));
+        trapdoors.insert(2, trapdoors[0].clone());
+        let mut scratch = Vec::new();
+        let batched = store.search_batch(&trapdoors, None, &mut scratch);
+        for (t, got) in trapdoors.iter().zip(&batched) {
+            assert!(!got.is_empty(), "every keyword ranks real entries");
+            assert_eq!(*got, store.search(t, None, &mut scratch));
+        }
+        // Counters sum across generations: the base reads 4 lists with 3
+        // backward hops saved, the delta its 2 lists with 1.
+        let stats = store.batch_read_stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(
+            stats.lists_read,
+            4 + 2,
+            "unique lists read once per generation"
+        );
+        assert_eq!(stats.seeks_saved, 3 + 1);
+        // The counters survive a live compaction's flip.
+        assert!(store.flush().unwrap());
+        store
+            .begin_live_compact()
+            .unwrap()
+            .expect("three generations")
+            .run()
+            .unwrap();
+        assert_eq!(store.batch_read_stats(), stats);
     }
 
     #[test]

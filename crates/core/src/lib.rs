@@ -67,5 +67,5 @@ pub use params::{Padding, RangePolicy, RsseParams};
 pub use persist::PersistError;
 pub use scheme::{BuildReport, IndexUpdate, IndexUpdater, Rsse, ScoreDecryptor};
 pub use segio::{MemIo, SegmentIo, SegmentRead, SegmentWrite, StdIo};
-pub use segment::{BatchReadStats, SegmentBackend};
+pub use segment::BatchReadStats;
 pub use store::{PostingIter, PostingList, PostingStore};

@@ -2,8 +2,9 @@
 //!
 //! The owner builds an index once and may want to re-upload, back up, or
 //! version it; the server wants to survive restarts — warm, without a
-//! rebuild, via [`crate::segment::SegmentBackend`]. The current format is
-//! `RSSEIDX2`: the `RSSEIDX1` body followed by a trailing label→offset
+//! rebuild, via the generational store ([`crate::generation`]), whose
+//! generation files are in this same format. The format is `RSSEIDX2`:
+//! the posting lists in label order followed by a trailing label→offset
 //! directory, so a segment reader can serve any single posting list with
 //! one positional read instead of materializing the file:
 //!
@@ -22,10 +23,6 @@
 //! the slice a segment read needs. The final 8 bytes locate the
 //! directory from the end of the file.
 //!
-//! `RSSEIDX1` files (no directory, no trailer) still load: the body
-//! layout is unchanged, so a v1 file is converted on load by scanning it
-//! once. [`RsseIndex::save`] always writes v2.
-//!
 //! Readers take `R: Read` and writers `W: Write` by value (a `&mut`
 //! reference also works, per the std blanket impls); both are buffered
 //! internally, so callers can hand over a bare `File`.
@@ -34,11 +31,7 @@ use crate::index::{Label, RsseIndex};
 use rsse_opse::OpseParams;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
-/// The legacy v1 format magic (read-compat only; [`RsseIndex::save`]
-/// writes [`MAGIC_V2`]).
-pub const MAGIC: &[u8; 8] = b"RSSEIDX1";
-
-/// The current format magic: v1 body plus a trailing label→offset
+/// The format magic: the posting-list body plus a trailing label→offset
 /// directory.
 pub const MAGIC_V2: &[u8; 8] = b"RSSEIDX2";
 
@@ -68,7 +61,7 @@ pub enum PersistError {
         /// Stored range.
         range: u64,
     },
-    /// The v2 label→offset directory is inconsistent with the file:
+    /// The label→offset directory is inconsistent with the file:
     /// out-of-range, overlapping, or unsorted list ranges, counts that
     /// cannot fit their byte ranges, or records that contradict the body.
     BadDirectory(&'static str),
@@ -142,9 +135,10 @@ pub(crate) struct DirRecord {
     pub count: u64,
 }
 
-/// Streaming v2 writer shared by [`RsseIndex::save`] and segment
-/// compaction: tracks the write position, accumulates the directory, and
-/// emits it (plus the trailer) on [`SegmentWriter::finish`].
+/// Streaming `RSSEIDX2` writer shared by [`RsseIndex::save`] and the
+/// generational store's flushes and compactions: tracks the write
+/// position, accumulates the directory, and emits it (plus the trailer)
+/// on [`SegmentWriter::finish`].
 pub(crate) struct SegmentWriter<W: Write> {
     w: W,
     pos: u64,
@@ -188,7 +182,7 @@ impl<W: Write> SegmentWriter<W> {
     }
 
     /// Copies pre-encoded entry records verbatim (the compaction fast
-    /// path: a segment's base range is already in wire shape).
+    /// path: a generation's list range is already in wire shape).
     pub fn write_raw_entries(&mut self, records: &[u8]) -> io::Result<()> {
         self.w.write_all(records)?;
         self.pos += records.len() as u64;
@@ -238,12 +232,20 @@ impl RsseIndex {
     ///
     /// Propagates I/O failures.
     pub fn save<W: Write>(&self, writer: W) -> io::Result<()> {
+        self.write_segment(BufWriter::new(writer))?;
+        Ok(())
+    }
+
+    /// Writes the index to `w` as one `RSSEIDX2` segment and hands the
+    /// flushed writer back — [`Self::save`] and the generational store's
+    /// base generation are this one byte stream.
+    pub(crate) fn write_segment<W: Write>(&self, w: W) -> io::Result<W> {
         let opse = self
             .opse_params()
             .copied()
             .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"));
         let parts = self.export_parts();
-        let mut w = SegmentWriter::new(BufWriter::new(writer), &opse, parts.len() as u64)?;
+        let mut w = SegmentWriter::new(w, &opse, parts.len() as u64)?;
         for (label, entries) in parts {
             w.begin_list(label, entries.len() as u64)?;
             for e in entries {
@@ -251,19 +253,18 @@ impl RsseIndex {
             }
             w.end_list();
         }
-        w.finish()?;
-        Ok(())
+        w.finish()
     }
 
-    /// Deserializes an index from `reader`, materializing it in memory
-    /// (the [`crate::backend::MemBackend`]). Accepts both `RSSEIDX2` and
-    /// legacy `RSSEIDX1` files; to serve a v2 file *without*
-    /// materializing it, use [`RsseIndex::open_segment`]. The reader is
-    /// buffered internally.
+    /// Deserializes an `RSSEIDX2` index from `reader`, materializing it in
+    /// memory (the [`crate::backend::MemBackend`]); to serve from disk
+    /// *without* materializing, use [`RsseIndex::save_generational`] and
+    /// [`RsseIndex::open_generational`]. The reader is buffered
+    /// internally.
     ///
-    /// For v2 input the trailing directory is required to mirror the body
-    /// exactly — a file whose directory disagrees with its lists is
-    /// rejected, never part-loaded.
+    /// The trailing directory is required to mirror the body exactly — a
+    /// file whose directory disagrees with its lists is rejected, never
+    /// part-loaded.
     ///
     /// # Errors
     ///
@@ -272,11 +273,9 @@ impl RsseIndex {
         let mut reader = BufReader::new(reader);
         let mut magic = [0u8; 8];
         reader.read_exact(&mut magic)?;
-        let v2 = match &magic {
-            m if m == MAGIC_V2 => true,
-            m if m == MAGIC => false,
-            _ => return Err(PersistError::BadMagic(magic)),
-        };
+        if &magic != MAGIC_V2 {
+            return Err(PersistError::BadMagic(magic));
+        }
         let domain = read_u64(&mut reader)?;
         let range = read_u64(&mut reader)?;
         let opse = OpseParams::new(domain, range)
@@ -299,40 +298,36 @@ impl RsseIndex {
                 pos += 8 + len as u64;
                 entries.push(e);
             }
-            if v2 {
-                body_dir.push(DirRecord {
-                    label,
-                    offset,
-                    byte_len: pos - offset,
-                    count: num_entries,
-                });
-            }
+            body_dir.push(DirRecord {
+                label,
+                offset,
+                byte_len: pos - offset,
+                count: num_entries,
+            });
             parts.push((label, entries));
         }
-        if v2 {
-            // The directory must mirror the body record for record; any
-            // disagreement means the file was corrupted or tampered with.
-            for want in &body_dir {
-                let mut label: Label = [0u8; 20];
-                reader.read_exact(&mut label)?;
-                let got = DirRecord {
-                    label,
-                    offset: read_u64(&mut reader)?,
-                    byte_len: read_u64(&mut reader)?,
-                    count: read_u64(&mut reader)?,
-                };
-                if got != *want {
-                    return Err(PersistError::BadDirectory(
-                        "directory record does not match the body",
-                    ));
-                }
-            }
-            let dir_offset = read_u64(&mut reader)?;
-            if dir_offset != pos {
+        // The directory must mirror the body record for record; any
+        // disagreement means the file was corrupted or tampered with.
+        for want in &body_dir {
+            let mut label: Label = [0u8; 20];
+            reader.read_exact(&mut label)?;
+            let got = DirRecord {
+                label,
+                offset: read_u64(&mut reader)?,
+                byte_len: read_u64(&mut reader)?,
+                count: read_u64(&mut reader)?,
+            };
+            if got != *want {
                 return Err(PersistError::BadDirectory(
-                    "trailer offset does not match the body",
+                    "directory record does not match the body",
                 ));
             }
+        }
+        let dir_offset = read_u64(&mut reader)?;
+        if dir_offset != pos {
+            return Err(PersistError::BadDirectory(
+                "trailer offset does not match the body",
+            ));
         }
         Ok(RsseIndex::from_parts(parts, opse))
     }
@@ -414,28 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_body_still_loads() {
-        // A pre-directory RSSEIDX1 file: same body, no tail.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&128u64.to_be_bytes());
-        buf.extend_from_slice(&(1u64 << 46).to_be_bytes());
-        buf.extend_from_slice(&1u64.to_be_bytes()); // one list
-        buf.extend_from_slice(&[7u8; 20]);
-        buf.extend_from_slice(&2u64.to_be_bytes()); // two entries
-        for payload in [[0xAAu8; 4], [0xBBu8; 4]] {
-            buf.extend_from_slice(&4u64.to_be_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        let loaded = RsseIndex::load(&buf[..]).unwrap();
-        assert_eq!(loaded.num_lists(), 1);
-        assert_eq!(
-            loaded.raw_list(&[7u8; 20]).unwrap(),
-            vec![vec![0xAA; 4], vec![0xBB; 4]]
-        );
-    }
-
-    #[test]
     fn truncation_anywhere_is_an_error() {
         let (_, index) = sample_index();
         let mut buf = Vec::new();
@@ -448,23 +421,21 @@ mod tests {
 
     #[test]
     fn hostile_length_fields_rejected() {
-        for magic in [MAGIC, MAGIC_V2] {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(magic);
-            buf.extend_from_slice(&128u64.to_be_bytes());
-            buf.extend_from_slice(&(1u64 << 46).to_be_bytes());
-            buf.extend_from_slice(&u64::MAX.to_be_bytes()); // absurd list count
-            assert!(matches!(
-                RsseIndex::load(&buf[..]).unwrap_err(),
-                PersistError::Oversize(_)
-            ));
-        }
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC_V2);
+        buf.extend_from_slice(&128u64.to_be_bytes());
+        buf.extend_from_slice(&(1u64 << 46).to_be_bytes());
+        buf.extend_from_slice(&u64::MAX.to_be_bytes()); // absurd list count
+        assert!(matches!(
+            RsseIndex::load(&buf[..]).unwrap_err(),
+            PersistError::Oversize(_)
+        ));
     }
 
     #[test]
     fn inconsistent_parameters_rejected() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(MAGIC_V2);
         buf.extend_from_slice(&128u64.to_be_bytes());
         buf.extend_from_slice(&2u64.to_be_bytes()); // range < domain
         buf.extend_from_slice(&0u64.to_be_bytes());

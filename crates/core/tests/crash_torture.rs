@@ -17,11 +17,9 @@
 //! * the recovered store stays fully writable (update → flush →
 //!   compact still round-trips).
 //!
-//! Alongside the exhaustive sweep: the single-file compaction torture
-//! (including the directory-fsync durability regression), the
-//! double-compact typed error, flushes proceeding during a live
-//! compaction, searches served while a compaction is stalled mid-write,
-//! and pin-based reclaim.
+//! Alongside the exhaustive sweep: the double-compact typed error,
+//! flushes proceeding during a live compaction, searches served while a
+//! compaction is stalled mid-write, and pin-based reclaim.
 
 use rsse_core::persist::PersistError;
 use rsse_core::{
@@ -258,94 +256,6 @@ fn generational_store_survives_a_kill_at_every_sync_point() {
         let (io, recovered) = replay(&fx, Some(k));
         assert!(io.crash_fired(), "{ctx}: boundary was never reached");
         verify_recovery(&fx, &io, recovered, &ctx);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Single-file segment compaction torture.
-// ---------------------------------------------------------------------------
-
-const SEG_DIR: &str = "/torture/seg";
-
-/// Durably lays out a single-segment store, appends one update batch
-/// (mirrored into the reference), then compacts with an optional crash.
-/// Returns the io, the pre-/post-compaction reference parts, and the
-/// compaction outcome.
-#[allow(clippy::type_complexity)]
-fn seg_replay(
-    fx: &Fixture,
-    crash_at: Option<u64>,
-) -> (MemIo, Parts, Parts, Result<bool, PersistError>) {
-    let io = MemIo::new();
-    let dir = Path::new(SEG_DIR);
-    let path = dir.join("index.seg");
-    let mut mem = fx.base();
-    let mut bytes = Vec::new();
-    mem.save(&mut bytes).expect("serialize");
-    let mut w = io.create(&path).expect("create");
-    w.write_all(&bytes).expect("write");
-    w.sync().expect("fsync");
-    drop(w);
-    io.fsync_dir(dir).expect("dir fsync");
-    let mut store = RsseIndex::open_segment_with_io(io.shared(), &path).expect("open");
-    let pre = mem.export_parts();
-    fx.apply(0, &mut store, &mut mem);
-    let post = mem.export_parts();
-    if let Some(k) = crash_at {
-        io.crash_at_sync_point(k);
-    }
-    let result = store.compact();
-    (io, pre, post, result)
-}
-
-#[test]
-fn segment_compaction_survives_a_kill_at_every_sync_point() {
-    let fx = fixture();
-    let path = Path::new(SEG_DIR).join("index.seg");
-    // Uncrashed: the compacted state must survive power loss — this is
-    // the directory-fsync durability regression. Without the parent
-    // fsync the rename is volatile and the appended entries vanish.
-    let (io, _, post, result) = seg_replay(&fx, None);
-    assert!(result.expect("compaction"), "overlay had entries to fold");
-    let boundaries = io.sync_points() - 2; // setup spent 2 (file + dir)
-    assert_eq!(
-        boundaries, 3,
-        "compaction = file fsync + rename + directory fsync"
-    );
-    io.power_loss();
-    let reopened = RsseIndex::open_segment_with_io(io.shared(), &path).expect("reopen");
-    assert_eq!(
-        reopened.export_parts(),
-        post,
-        "compacted segment must survive power loss (directory-fsync regression)"
-    );
-    assert_same_rankings(
-        &fx.scheme,
-        &reopened,
-        &RsseIndex::from_parts(post, fx.opse),
-        "uncrashed segment compaction",
-    );
-    // Killed at any of the three boundaries: the old segment serves,
-    // byte-identical, with the unflushed overlay rolled back.
-    for k in 0..boundaries {
-        let ctx = format!("segment compaction crash at sync point {k}");
-        let (io, pre, _, result) = seg_replay(&fx, Some(k));
-        assert!(result.is_err(), "{ctx}: compaction must report the failure");
-        assert!(io.crash_fired(), "{ctx}: boundary was never reached");
-        io.power_loss();
-        let reopened = RsseIndex::open_segment_with_io(io.shared(), &path)
-            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-        assert_eq!(
-            reopened.export_parts(),
-            pre,
-            "{ctx}: must recover the pre-compaction segment exactly"
-        );
-        assert_same_rankings(
-            &fx.scheme,
-            &reopened,
-            &RsseIndex::from_parts(pre, fx.opse),
-            &ctx,
-        );
     }
 }
 

@@ -6,25 +6,28 @@
 //! not just the uniform padded lists the scheme happens to produce. And a
 //! loader fed hostile bytes (wrong magic, absurd length claims, files cut
 //! off mid-entry) must fail with the matching [`PersistError`], never
-//! panic or mis-load.
+//! panic or mis-load — both the materializing `RsseIndex::load` and the
+//! on-disk open, which validates a generational store's base generation
+//! directory against its file.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rsse_core::persist::{PersistError, MAGIC, MAGIC_V2};
-use rsse_core::{Label, Rsse, RsseIndex, RsseParams, SegmentBackend};
+use rsse_core::persist::{PersistError, MAGIC_V2};
+use rsse_core::{Label, Rsse, RsseIndex, RsseParams};
 use rsse_ir::{Document, FileId};
 use rsse_opse::OpseParams;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Unique temp paths so parallel tests never collide on a segment file.
+/// The base generation file of a freshly saved generational store.
+const BASE_GENERATION: &str = "gen-000000.seg";
+
+/// Unique temp paths so parallel tests never collide on a store
+/// directory.
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "rsse_roundtrip_{tag}_{}_{n}.idx",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("rsse_roundtrip_{tag}_{}_{n}", std::process::id()))
 }
 
 /// Distinct 20-byte labels: proptest drives only the salt, the counter
@@ -126,161 +129,145 @@ fn wrong_magic_is_bad_magic_not_io() {
     }
 }
 
-/// Hand-encodes a legacy `RSSEIDX1` file — written byte-for-byte the way
-/// the pre-directory format did, with no reference to the current writer.
-fn legacy_v1_bytes(lists: &[(Label, Vec<Vec<u8>>)], domain: u64, range: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&domain.to_be_bytes());
-    buf.extend_from_slice(&range.to_be_bytes());
-    buf.extend_from_slice(&(lists.len() as u64).to_be_bytes());
-    for (label, entries) in lists {
-        buf.extend_from_slice(label);
-        buf.extend_from_slice(&(entries.len() as u64).to_be_bytes());
-        for e in entries {
-            buf.extend_from_slice(&(e.len() as u64).to_be_bytes());
-            buf.extend_from_slice(e);
-        }
-    }
-    buf
+/// Overwrites the store's base generation with `bytes`, reopens the
+/// store, and removes it.
+fn open_with_base(store: &Path, bytes: &[u8]) -> Result<RsseIndex, PersistError> {
+    std::fs::write(store.join(BASE_GENERATION), bytes).unwrap();
+    let opened = RsseIndex::open_generational(store);
+    let _ = std::fs::remove_dir_all(store);
+    opened
 }
 
-#[test]
-fn rsseidx1_files_written_before_the_directory_still_load() {
-    let lists = vec![
-        (label(0, 9), vec![vec![0xA1; 12], vec![0xA2; 12]]),
-        (label(1, 9), vec![]),
-        (label(2, 9), vec![vec![0xB1; 3], vec![0xB2; 7]]),
-    ];
-    let buf = legacy_v1_bytes(&lists, 128, 1 << 46);
-
-    // Through the materializing loader.
-    let loaded = RsseIndex::load(&buf[..]).unwrap();
-    assert_eq!(loaded.num_lists(), 3);
-    for (l, entries) in &lists {
-        assert_eq!(loaded.raw_list(l).as_ref(), Some(entries), "{l:02x?}");
-    }
-    // A reload re-saves in v2; the upgraded file round-trips losslessly.
-    let mut upgraded = Vec::new();
-    loaded.save(&mut upgraded).unwrap();
-    assert_eq!(&upgraded[..8], MAGIC_V2);
-    assert_eq!(
-        RsseIndex::load(&upgraded[..]).unwrap().export_parts(),
-        loaded.export_parts()
-    );
-
-    // And through the segment path: the v1 body is served in place.
-    let path = temp_path("v1compat");
-    std::fs::write(&path, &buf).unwrap();
-    let seg = RsseIndex::open_segment(&path).unwrap();
-    assert_eq!(seg.num_lists(), 3);
-    for (l, entries) in &lists {
-        assert_eq!(seg.raw_list(l).as_ref(), Some(entries), "segment {l:02x?}");
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-/// Builds a saved v2 segment plus the byte offset of its directory, for
-/// the hostile-directory cases to patch.
-fn saved_v2_with_dir_offset(tag: &str) -> (PathBuf, Vec<u8>, usize) {
+/// Saves a small ragged index as a one-generation store and returns the
+/// store directory, its base generation's bytes, and the byte offset of
+/// their directory, for the hostile-directory cases to patch.
+fn saved_store_with_dir_offset(tag: &str) -> (PathBuf, Vec<u8>, usize) {
     let lists = vec![
         vec![vec![0x11; 10], vec![0x12; 10]],
         vec![vec![0x21; 4]],
         vec![vec![0x31; 6], vec![0x32; 2], vec![0x33; 8]],
     ];
     let index = ragged_index(&lists, 5, 64, 64);
-    let path = temp_path(tag);
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
+    let store = temp_path(tag);
+    index.save_generational(&store).unwrap();
+    let buf = std::fs::read(store.join(BASE_GENERATION)).unwrap();
     let dir_offset = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
-    (path, buf, dir_offset)
+    (store, buf, dir_offset)
 }
 
-/// A segment open over `bytes` must reject with `BadDirectory` — and in
-/// particular must neither panic nor allocate from the hostile claims.
-fn assert_bad_directory(path: &PathBuf, bytes: &[u8], what: &str) {
-    std::fs::write(path, bytes).unwrap();
-    match SegmentBackend::open(path) {
+/// A store whose base generation is `bytes` must refuse to open with
+/// `BadDirectory` — and in particular must neither panic nor allocate
+/// from the hostile claims.
+fn assert_bad_directory(store: &Path, bytes: &[u8], what: &str) {
+    match open_with_base(store, bytes) {
         Err(PersistError::BadDirectory(_)) => {}
         other => panic!("{what}: expected BadDirectory, got {other:?}"),
     }
-    let _ = std::fs::remove_file(path);
+}
+
+/// A file in the retired pre-directory `RSSEIDX1` layout (same body as
+/// `RSSEIDX2`, no directory, no trailer) is refused by magic alone, both
+/// by the materializing loader and as a store's generation file.
+#[test]
+fn rsseidx1_files_are_rejected_with_bad_magic() {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(b"RSSEIDX1");
+    buf.extend_from_slice(&128u64.to_be_bytes());
+    buf.extend_from_slice(&(1u64 << 46).to_be_bytes());
+    buf.extend_from_slice(&1u64.to_be_bytes()); // one list
+    buf.extend_from_slice(&label(0, 9));
+    buf.extend_from_slice(&1u64.to_be_bytes()); // one entry
+    buf.extend_from_slice(&4u64.to_be_bytes());
+    buf.extend_from_slice(&[0xA1; 4]);
+    match RsseIndex::load(&buf[..]).unwrap_err() {
+        PersistError::BadMagic(m) => assert_eq!(&m, b"RSSEIDX1"),
+        other => panic!("load: expected BadMagic, got {other:?}"),
+    }
+    let (store, _, _) = saved_store_with_dir_offset("v1");
+    match open_with_base(&store, &buf).unwrap_err() {
+        PersistError::BadMagic(m) => assert_eq!(&m, b"RSSEIDX1"),
+        other => panic!("open_generational: expected BadMagic, got {other:?}"),
+    }
 }
 
 #[test]
 fn hostile_directory_out_of_range_offsets_rejected() {
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("range");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("range");
     // First record's byte_len claims past the directory.
     buf[dir + 28..dir + 36].copy_from_slice(&(1u64 << 29).to_be_bytes());
-    assert_bad_directory(&path, &buf, "out-of-range byte_len");
+    assert_bad_directory(&store, &buf, "out-of-range byte_len");
 
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("range2");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("range2");
     // First record's offset points before the file header.
     buf[dir + 20..dir + 28].copy_from_slice(&3u64.to_be_bytes());
-    assert_bad_directory(&path, &buf, "offset inside the header");
+    assert_bad_directory(&store, &buf, "offset inside the header");
 }
 
 #[test]
 fn hostile_directory_overlapping_or_unsorted_offsets_rejected() {
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("overlap");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("overlap");
     // Second record re-uses the first record's offset: overlapping ranges.
     let first_offset = buf[dir + 20..dir + 28].to_vec();
     buf[dir + 44 + 20..dir + 44 + 28].copy_from_slice(&first_offset);
-    assert_bad_directory(&path, &buf, "overlapping ranges");
+    assert_bad_directory(&store, &buf, "overlapping ranges");
 
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("unsorted");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("unsorted");
     // Swap the offsets of records 0 and 1: ranges run right to left.
     let (a, b) = (dir + 20, dir + 44 + 20);
     let first = buf[a..a + 8].to_vec();
     let second = buf[b..b + 8].to_vec();
     buf[a..a + 8].copy_from_slice(&second);
     buf[b..b + 8].copy_from_slice(&first);
-    assert_bad_directory(&path, &buf, "unsorted offsets");
+    assert_bad_directory(&store, &buf, "unsorted offsets");
 }
 
 #[test]
 fn hostile_directory_unsorted_labels_rejected() {
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("labels");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("labels");
     // Swap the labels of records 0 and 1 (offsets untouched).
     let first = buf[dir..dir + 20].to_vec();
     let second = buf[dir + 44..dir + 44 + 20].to_vec();
     buf[dir..dir + 20].copy_from_slice(&second);
     buf[dir + 44..dir + 44 + 20].copy_from_slice(&first);
-    assert_bad_directory(&path, &buf, "unsorted labels");
+    assert_bad_directory(&store, &buf, "unsorted labels");
 }
 
 #[test]
 fn hostile_directory_absurd_counts_never_over_allocate() {
     // Entry count over the sanity cap: Oversize, before any allocation.
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("count");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("count");
     buf[dir + 36..dir + 44].copy_from_slice(&(2u64 << 30).to_be_bytes());
-    std::fs::write(&path, &buf).unwrap();
     assert!(matches!(
-        SegmentBackend::open(&path).unwrap_err(),
+        open_with_base(&store, &buf).unwrap_err(),
         PersistError::Oversize(_)
     ));
-    let _ = std::fs::remove_file(&path);
 
     // Entry count under the cap but impossible for its byte range (each
     // entry needs an 8-byte prefix): BadDirectory, and the count is never
     // trusted as an allocation size.
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("count2");
+    let (store, mut buf, dir) = saved_store_with_dir_offset("count2");
     buf[dir + 36..dir + 44].copy_from_slice(&(1u64 << 29).to_be_bytes());
-    assert_bad_directory(&path, &buf, "count cannot fit its range");
+    assert_bad_directory(&store, &buf, "count cannot fit its range");
 
     // A list-count header claiming far more records than the file holds.
-    let (path, mut buf, _) = saved_v2_with_dir_offset("count3");
+    let (store, mut buf, _) = saved_store_with_dir_offset("count3");
     buf[24..32].copy_from_slice(&(1u64 << 20).to_be_bytes());
-    assert_bad_directory(&path, &buf, "list count beyond the file");
+    assert_bad_directory(&store, &buf, "list count beyond the file");
 }
 
 #[test]
 fn hostile_trailer_rejected() {
-    let (path, mut buf, _) = saved_v2_with_dir_offset("trailer");
+    let (store, mut buf, _) = saved_store_with_dir_offset("trailer");
     let len = buf.len();
     // Trailer pointing past the end of the file.
     buf[len - 8..].copy_from_slice(&(u64::MAX).to_be_bytes());
-    assert_bad_directory(&path, &buf, "trailer out of range");
+    assert_bad_directory(&store, &buf, "trailer out of range");
+}
+
+#[test]
+fn truncated_tail_is_rejected_at_open() {
+    let (store, buf, _) = saved_store_with_dir_offset("trunc");
+    assert!(open_with_base(&store, &buf[..buf.len() - 3]).is_err());
 }
 
 #[test]
@@ -291,7 +278,7 @@ fn oversize_claims_are_rejected_at_every_depth() {
 
     // Hostile list count.
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(MAGIC_V2);
     buf.extend_from_slice(&64u64.to_be_bytes());
     buf.extend_from_slice(&128u64.to_be_bytes());
     buf.extend_from_slice(&huge);
@@ -302,7 +289,7 @@ fn oversize_claims_are_rejected_at_every_depth() {
 
     // Hostile entry count inside the first list.
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(MAGIC_V2);
     buf.extend_from_slice(&64u64.to_be_bytes());
     buf.extend_from_slice(&128u64.to_be_bytes());
     buf.extend_from_slice(&1u64.to_be_bytes());
@@ -315,7 +302,7 @@ fn oversize_claims_are_rejected_at_every_depth() {
 
     // Hostile entry length inside the first entry.
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(MAGIC_V2);
     buf.extend_from_slice(&64u64.to_be_bytes());
     buf.extend_from_slice(&128u64.to_be_bytes());
     buf.extend_from_slice(&1u64.to_be_bytes());

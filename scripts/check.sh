@@ -27,11 +27,14 @@ cargo test -q -p rsse-crypto
 echo "==> cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc"
 cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 
-# Repeated: the pool suite times its overload shed and deadlines, so a
-# single green run could hide a flake.
+# Repeated: these suites time overload sheds, deadlines, and socket
+# interleavings (the worker pool's faults and stress, the TCP event
+# loop), so a single green run could hide a flake.
 for run in $(seq 1 10); do
-    echo "==> cargo test -q --test pool_faults (run $run/10)"
-    cargo test -q --test pool_faults
+    echo "==> cargo test -q --test pool_faults --test pool_stress (run $run/10)"
+    cargo test -q --test pool_faults --test pool_stress
+    echo "==> cargo test -q -p rsse-cloud --test tcp_transport (run $run/10)"
+    cargo test -q -p rsse-cloud --test tcp_transport
 done
 
 # The sharding layer's tentpole guarantees: scatter-gather ranking is
@@ -48,7 +51,7 @@ echo "==> cargo test -q --test cache_coherence"
 cargo test -q --test cache_coherence
 
 # The conjunctive serving path's tentpole guarantee: the intersection
-# pushdown returns byte-identical rankings across mem/segment/
+# pushdown returns byte-identical rankings across the mem and on-disk
 # generational backends, cache on vs off, and sharded vs single-node,
 # under random search/update interleavings and both keyword orders.
 echo "==> cargo test -q --test conjunctive"
@@ -57,30 +60,32 @@ cargo test -q --test conjunctive
 echo "==> cargo test -q -p rsse-core --test persist_roundtrip"
 cargo test -q -p rsse-core --test persist_roundtrip
 
-# The storage engine's tentpole guarantee: mem, on-disk segment,
-# compacted segment, and the generational store return byte-identical
-# rankings under interleaved searches, updates, flushes, and live
+# The storage engine's tentpole guarantee: mem and the on-disk
+# generational store — compacted live and inline, the inline fold
+# byte-identical to the saved index file — return byte-identical
+# rankings under interleaved searches, updates, flushes, and
 # compactions — cached, warm-restarted, and sharded deployments included.
 echo "==> cargo test -q --test backend_equivalence"
 cargo test -q --test backend_equivalence
 
 # The storage engine's crash-consistency guarantee: the writer is killed
-# at every fsync/rename boundary of a create/flush/compact plan (24
-# boundaries) plus every boundary of a single-file compaction, and each
-# reopened store must land on exactly the pre-op or post-op rankings —
-# never a torn state — and keep accepting updates. Also pins the typed
+# at every fsync/rename boundary of a create/flush/compact plan on the
+# generational store (24 boundaries), and each reopened store must land
+# on exactly the pre-op or post-op rankings — never a torn state — and
+# keep accepting updates. Also pins the typed
 # double-compact error, epoch-based segment reclaim, and that searches
 # keep being served while a live compaction is stalled mid-merge.
 echo "==> cargo test -q -p rsse-core --test crash_torture"
 cargo test -q -p rsse-core --test crash_torture
 
-# The transport layer's tentpole guarantees: the real TCP event loop and
+# The transport layer's tentpole guarantee: the real TCP event loop and
 # the simulated channel transport produce byte-identical reply frames,
-# rankings, and traffic reports for the same pipelined request log; out-
-# of-order completions re-pair by sequence id; a slow reader stalls only
-# its own connection; overload sheds the canonical frame over TCP too.
-echo "==> cargo test -q -p rsse-cloud --test transport_equivalence --test tcp_transport"
-cargo test -q -p rsse-cloud --test transport_equivalence --test tcp_transport
+# rankings, and traffic reports for the same pipelined request log. The
+# TCP-only guarantees — out-of-order completions re-pair by sequence id,
+# a slow reader stalls only its own connection, overload sheds the
+# canonical frame over TCP too — are `tcp_transport`, run 10x above.
+echo "==> cargo test -q -p rsse-cloud --test transport_equivalence"
+cargo test -q -p rsse-cloud --test transport_equivalence
 
 # 512-connection loopback soak: 16 client threads, 4-deep pipelines of
 # mixed search/fetch frames per connection, every reply re-paired by

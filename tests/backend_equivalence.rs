@@ -1,21 +1,21 @@
 //! Backend-equivalence harness: the storage engine must be *invisible*.
 //!
-//! The index layer dispatches over pluggable containers — the in-memory
-//! `MemBackend` arena, the on-disk `SegmentBackend` (base file + delta
-//! overlay), and the segment after `compact()` folded the overlay back
-//! into a fresh file. All three hold the same OPM ciphertexts, so for
-//! random interleavings of searches, score-dynamics updates, and
-//! compactions they must return rankings **byte-identical** in every
-//! respect: same files, same encrypted scores, same tie order, same
-//! truncation. The generational store (generation stack + L0 delta
-//! flushes + *live* compaction) is held to the same standard, including
-//! mid-flip: a search issued between `begin_live_compact` and the
-//! install must match the in-memory ranking byte-for-byte. The cloud
-//! layer too — a `Deployment` warm-restarted from a saved segment or a
-//! generation directory must match the in-memory deployment down to the
-//! traffic counters, and a sharded deployment serving one store per
-//! shard must match the in-memory shards — caches enabled, exactly as
-//! deployed. See DESIGN.md §6.4 and §6.6.
+//! The index layer dispatches over two containers — the in-memory
+//! `MemBackend` arena and the on-disk generational store (a stack of
+//! `RSSEIDX2` generation files plus an in-memory overlay). Both hold the
+//! same OPM ciphertexts, so for random interleavings of searches,
+//! score-dynamics updates, flushes, and compactions they must return
+//! rankings **byte-identical** in every respect: same files, same
+//! encrypted scores, same tie order, same truncation. Two store arms run
+//! side by side: one flushing L0 deltas and compacting *live* — searched
+//! mid-flip too, between `begin_live_compact` and the install — and one
+//! compacting inline through `RsseIndex::compact()`, whose folded
+//! generation must be byte-for-byte the in-memory index's saved file.
+//! The cloud layer too — a `Deployment` on a generation directory, both
+//! freshly outsourced and warm-restarted, must match the in-memory
+//! deployment down to the traffic counters, and a sharded deployment
+//! serving one store per shard must match the in-memory shards — caches
+//! enabled, exactly as deployed. See DESIGN.md §6.4 and §6.6.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "omega"];
 
 /// Unique temp paths so parallel proptest cases never collide on a
-/// segment file or directory.
+/// store directory.
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -61,15 +61,15 @@ fn search_ranking(server: &CloudServer, request: Message) -> Vec<(u64, u64)> {
 
 // One step of a random schedule is `(kind, keyword, k)`: `kind % 3 == 0`
 // searches `VOCAB[keyword]` with limit `k` (0 meaning unlimited), `== 1`
-// appends a fresh document mentioning it (landing in the segment's delta
-// overlay), and `== 2` compacts the segment then searches — so reads hit
+// appends a fresh document mentioning it (landing in the store's
+// overlay), and `== 2` compacts the stores then searches — so reads hit
 // every overlay state: empty, populated, and freshly folded.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Core level: an index reopened from its saved segment, and one that
-    /// keeps compacting, stay byte-identical to the in-memory original
+    /// Core level: a generational store compacting live and one
+    /// compacting inline stay byte-identical to the in-memory original
     /// under interleaved searches and updates.
     #[test]
     fn mem_segment_and_compacted_rankings_are_byte_identical(
@@ -83,17 +83,13 @@ proptest! {
         let scheme = Rsse::new(&master, params);
         let mut mem = scheme.build_index(&docs).unwrap();
 
-        let seg_path = temp_path("core_seg");
-        mem.save(std::fs::File::create(&seg_path).unwrap()).unwrap();
-        let compact_path = temp_path("core_compact");
-        std::fs::copy(&seg_path, &compact_path).unwrap();
-        let mut seg = RsseIndex::open_segment(&seg_path).unwrap();
-        let mut compacting = RsseIndex::open_segment(&compact_path).unwrap();
+        let compact_dir = temp_path("core_compact");
+        let mut compacting = mem.save_generational(&compact_dir).unwrap();
         let gen_dir = temp_path("core_gen");
         let mut gen = mem.save_generational(&gen_dir).unwrap();
         prop_assert_eq!(mem.backend_kind(), BackendKind::Mem);
-        prop_assert_eq!(seg.backend_kind(), BackendKind::Segment);
         prop_assert_eq!(gen.backend_kind(), BackendKind::Generational);
+        prop_assert_eq!(compacting.backend_kind(), BackendKind::Generational);
 
         let plain_index = InvertedIndex::build(&docs);
         let updater = scheme.updater_for(&plain_index).unwrap();
@@ -108,16 +104,16 @@ proptest! {
                 next_id += 1;
                 let update = updater.add_document(&doc).unwrap();
                 update.clone().apply_to(&mut mem);
-                update.clone().apply_to(&mut seg);
                 update.clone().apply_to(&mut gen);
                 update.apply_to(&mut compacting);
                 continue;
             }
             if kind % 3 == 2 {
-                // Fold the overlay into a fresh file; the merged view must
-                // not move by a byte.
+                // Inline: flush and merge the whole stack into one fresh
+                // generation; the merged view must not move by a byte.
                 compacting.compact().unwrap();
                 prop_assert_eq!(compacting.pending_overlay_entries(), 0);
+                prop_assert_eq!(compacting.generation_stats().unwrap().segments, 1);
                 // Generational: flush the overlay into an L0 delta, then
                 // run a *live* pass — and search in the window between
                 // begin and install, where the old stack still serves.
@@ -136,10 +132,6 @@ proptest! {
             let trapdoor = scheme.trapdoor(word).unwrap();
             let want = mem.search(&trapdoor, top_k);
             prop_assert_eq!(
-                seg.search(&trapdoor, top_k), want.clone(),
-                "segment ranking diverged for {} (k={:?})", word, top_k
-            );
-            prop_assert_eq!(
                 gen.search(&trapdoor, top_k), want.clone(),
                 "generational ranking diverged for {} (k={:?})", word, top_k
             );
@@ -150,24 +142,28 @@ proptest! {
         }
 
         // Final sweep: every keyword, unlimited and truncated, plus the
-        // full exported ciphertexts and the re-saved segment bytes.
+        // full exported ciphertexts and the compacted generation's bytes.
         for word in VOCAB {
             let t = scheme.trapdoor(word).unwrap();
             for top_k in [None, Some(3)] {
                 let want = mem.search(&t, top_k);
-                prop_assert_eq!(seg.search(&t, top_k), want.clone(), "{}", word);
                 prop_assert_eq!(gen.search(&t, top_k), want.clone(), "{}", word);
                 prop_assert_eq!(compacting.search(&t, top_k), want, "{}", word);
             }
         }
-        prop_assert_eq!(seg.export_parts(), mem.export_parts());
         prop_assert_eq!(gen.export_parts(), mem.export_parts());
         prop_assert_eq!(compacting.export_parts(), mem.export_parts());
+        // Folded down to one generation, the store *is* the saved index:
+        // the generation file and `save` are the same bytes.
         let mut mem_bytes = Vec::new();
         mem.save(&mut mem_bytes).unwrap();
-        let mut seg_bytes = Vec::new();
-        seg.save(&mut seg_bytes).unwrap();
-        prop_assert_eq!(seg_bytes, mem_bytes, "re-saved segments must be byte-identical");
+        compacting.compact().unwrap();
+        let folded = compacting.pin_generations().unwrap().segment_paths();
+        prop_assert_eq!(folded.len(), 1);
+        prop_assert_eq!(
+            std::fs::read(&folded[0]).unwrap(), mem_bytes,
+            "a compacted store must be byte-identical to the saved index"
+        );
         // The generation directory is a durable replica of the same
         // content: flush the tail overlay and reopen cold.
         gen.flush_updates().unwrap();
@@ -175,8 +171,7 @@ proptest! {
         let reopened = RsseIndex::open_generational(&gen_dir).unwrap();
         prop_assert_eq!(reopened.export_parts(), mem.export_parts());
 
-        let _ = std::fs::remove_file(&seg_path);
-        let _ = std::fs::remove_file(&compact_path);
+        let _ = std::fs::remove_dir_all(&compact_dir);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }
@@ -184,11 +179,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cloud level: a deployment warm-restarted from a saved segment
-    /// (and one freshly bootstrapped onto the segment backend) matches
-    /// the in-memory deployment — rankings *and* traffic counters — with
-    /// the ranking cache enabled on all of them, across interleaved
-    /// updates and compactions.
+    /// Cloud level: a deployment warm-restarted from a generation
+    /// directory matches the in-memory deployment — rankings *and*
+    /// traffic counters — with the ranking cache enabled on both, across
+    /// interleaved updates and live compactions.
     #[test]
     fn segment_deployments_match_mem_deployment_rankings_and_traffic(
         seed in any::<u64>(),
@@ -200,23 +194,9 @@ proptest! {
         let params = RsseParams::default();
 
         let mem = Deployment::bootstrap(&master, params, &docs).unwrap();
-        // Persist the serving index, then restart warm from the file: no
-        // Outsource message, no index rebuild.
-        let seg_path = temp_path("deploy_seg");
-        mem.save_segment(&seg_path).unwrap();
-        let warm = Deployment::bootstrap_from_segment(
-            &master, params, &docs, &seg_path, CloudServer::DEFAULT_CACHE_BUDGET,
-        ).unwrap();
-        prop_assert_eq!(warm.setup_traffic, Default::default(), "warm restart crosses no wire");
-        // And a deployment that outsourced straight onto the segment
-        // backend (persist-then-serve in one step).
-        let built_path = temp_path("deploy_built");
-        let built = Deployment::bootstrap_segmented(
-            &master, params, &docs, &built_path, CloudServer::DEFAULT_CACHE_BUDGET,
-        ).unwrap();
-        // And a generational deployment: outsource onto the generation
-        // store, shut it down, then warm-restart from the directory —
-        // both generational boot paths in one arm.
+        // A generational deployment: outsource onto the generation store,
+        // shut it down, then warm-restart from the directory — no
+        // Outsource message, no index rebuild — both boot paths in one arm.
         let gen_dir = temp_path("deploy_gen");
         drop(Deployment::bootstrap_generational(
             &master, params, &docs, &gen_dir, CloudServer::DEFAULT_CACHE_BUDGET,
@@ -243,20 +223,16 @@ proptest! {
                 let update = updater.add_document(&doc).unwrap();
                 let file = crypter.encrypt(&doc);
                 mem.server().apply_update(update.clone(), vec![file.clone()]);
-                warm.server().apply_update(update.clone(), vec![file.clone()]);
-                gen.server().apply_update(update.clone(), vec![file.clone()]);
-                built.server().apply_update(update, vec![file]);
+                gen.server().apply_update(update, vec![file]);
                 continue;
             }
             if kind % 3 == 2 {
                 // Compaction must be invisible to every later search; the
-                // mem server reports it as a no-op.
-                prop_assert!(!mem.server().compact_index().unwrap());
-                warm.server().compact_index().unwrap();
-                built.server().compact_index().unwrap();
-                // The generational server compacts *live* — foreground on
-                // even kinds, on a background thread (joined, so the flip
-                // lands before the next comparison) on odd ones.
+                // mem server reports it as a no-op. The generational
+                // server compacts *live* — foreground on even kinds, on a
+                // background thread (joined, so the flip lands before the
+                // next comparison) on odd ones.
+                prop_assert!(mem.server().compact_index_live().unwrap().is_none());
                 if kind % 2 == 0 {
                     gen.server().compact_index_live().unwrap();
                 } else if let Some(merge) = gen.server().compact_index_background().unwrap() {
@@ -268,24 +244,18 @@ proptest! {
                 &mem.server(),
                 mem.user().search_request(word, top_k, SearchMode::Rsse).unwrap(),
             );
-            for (name, d) in [("warm", &warm), ("built", &built), ("gen", &gen)] {
-                let got = search_ranking(
-                    &d.server(),
-                    d.user().search_request(word, top_k, SearchMode::Rsse).unwrap(),
-                );
-                prop_assert_eq!(&got, &want, "{} ranking diverged for {}", name, word);
-            }
+            let got = search_ranking(
+                &gen.server(),
+                gen.user().search_request(word, top_k, SearchMode::Rsse).unwrap(),
+            );
+            prop_assert_eq!(&got, &want, "generational ranking diverged for {}", word);
             // The full metered protocol run agrees down to the byte
             // counts: identical frames up, identical frames down.
             let (_, mem_traffic) = mem.rsse_search(word, top_k).unwrap();
-            let (_, warm_traffic) = warm.rsse_search(word, top_k).unwrap();
             let (_, gen_traffic) = gen.rsse_search(word, top_k).unwrap();
-            prop_assert_eq!(mem_traffic, warm_traffic, "traffic diverged for {}", word);
             prop_assert_eq!(mem_traffic, gen_traffic, "generational traffic diverged for {}", word);
         }
 
-        let _ = std::fs::remove_file(&seg_path);
-        let _ = std::fs::remove_file(&built_path);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }
@@ -295,9 +265,10 @@ proptest! {
     // keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Sharded level: one segment per shard must scatter-gather to the
-    /// same merged rankings as in-memory shards, across lockstep updates
-    /// routed to the owning shard and per-shard compactions.
+    /// Sharded level: one generational store per shard must
+    /// scatter-gather to the same merged rankings as in-memory shards,
+    /// across lockstep updates routed to the owning shard and per-shard
+    /// live compactions.
     #[test]
     fn sharded_segment_backends_match_mem_shards(
         seed in any::<u64>(),
@@ -312,10 +283,6 @@ proptest! {
 
         let mem = ShardedDeployment::bootstrap(
             &master, params, &docs, num_shards, options.clone(),
-        ).unwrap();
-        let dir = temp_path("shards");
-        let seg = ShardedDeployment::bootstrap_segmented(
-            &master, params, &docs, num_shards, &dir, options.clone(),
         ).unwrap();
         let gen_dir = temp_path("shards_gen");
         let gens = ShardedDeployment::bootstrap_generational(
@@ -341,39 +308,33 @@ proptest! {
                 let file = crypter.encrypt(&doc);
                 let shard = partitioner.shard_of(doc.id());
                 mem.shard_server(shard).unwrap().apply_update(update.clone(), vec![file.clone()]);
-                seg.shard_server(shard).unwrap().apply_update(update.clone(), vec![file.clone()]);
                 gens.shard_server(shard).unwrap().apply_update(update, vec![file]);
                 continue;
             }
             if kind % 3 == 2 {
+                // Live per-shard compaction under a serving pool.
                 for shard in 0..num_shards {
-                    seg.shard_server(shard).unwrap().compact_index().unwrap();
-                    // Live per-shard compaction under a serving pool.
                     gens.shard_server(shard).unwrap().compact_index_live().unwrap();
                 }
             }
             let top_k = (k > 0).then_some(k);
             let (_, want) = mem.rsse_search(word, top_k).unwrap();
             prop_assert!(want.is_complete());
-            for (name, d) in [("segment", &seg), ("generational", &gens)] {
-                let (_, got) = d.rsse_search(word, top_k).unwrap();
-                prop_assert!(got.is_complete());
-                prop_assert_eq!(
-                    &got.ranking, &want.ranking,
-                    "sharded {} ranking diverged for {}", name, word
-                );
-                // Batched scatter agrees too (the cached path per shard).
-                let (_, batch) = d.rsse_search_batch(&[word], top_k).unwrap();
-                prop_assert_eq!(
-                    &batch.queries[0].0, &want.ranking,
-                    "batched {} diverged for {}", name, word
-                );
-            }
+            let (_, got) = gens.rsse_search(word, top_k).unwrap();
+            prop_assert!(got.is_complete());
+            prop_assert_eq!(
+                &got.ranking, &want.ranking,
+                "sharded generational ranking diverged for {}", word
+            );
+            // Batched scatter agrees too (the cached path per shard).
+            let (_, batch) = gens.rsse_search_batch(&[word], top_k).unwrap();
+            prop_assert_eq!(
+                &batch.queries[0].0, &want.ranking,
+                "batched generational diverged for {}", word
+            );
         }
         mem.shutdown();
-        seg.shutdown();
         gens.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }

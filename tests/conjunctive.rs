@@ -115,9 +115,9 @@ fn exact_rerank_agrees_with_dominance() {
 // ---------------------------------------------------------------------------
 // Equivalence suite: the conjunctive pushdown must be invisible across
 // every serving configuration. One random schedule of searches and
-// updates drives five deployments built from the same corpus — in-memory
-// with the conjunctive cache on, cache off, the on-disk segment backend,
-// the generational store, and a sharded scatter-gather over 1–4 shards —
+// updates drives four deployments built from the same corpus — in-memory
+// with the conjunctive cache on, cache off, the on-disk generational
+// store, and a sharded scatter-gather over 1–4 shards —
 // and every conjunctive ranking must be byte-identical across all of
 // them: same files, same per-keyword mapped scores, same tie order, same
 // truncation.
@@ -169,10 +169,6 @@ proptest! {
 
         let mem = Deployment::bootstrap(&master, params, &docs).unwrap();
         let nocache = Deployment::bootstrap_with_cache(&master, params, &docs, 0).unwrap();
-        let seg_path = temp_path("seg");
-        let seg = Deployment::bootstrap_segmented(
-            &master, params, &docs, &seg_path, CloudServer::DEFAULT_CACHE_BUDGET,
-        ).unwrap();
         let gen_dir = temp_path("gen");
         let gen = Deployment::bootstrap_generational(
             &master, params, &docs, &gen_dir, CloudServer::DEFAULT_CACHE_BUDGET,
@@ -202,7 +198,6 @@ proptest! {
                 let file = crypter.encrypt(&doc);
                 mem.server().apply_update(update.clone(), vec![file.clone()]);
                 nocache.server().apply_update(update.clone(), vec![file.clone()]);
-                seg.server().apply_update(update.clone(), vec![file.clone()]);
                 gen.server().apply_update(update.clone(), vec![file.clone()]);
                 let shard = partitioner.shard_of(doc.id());
                 sharded.shard_server(shard).unwrap().apply_update(update, vec![file]);
@@ -214,8 +209,6 @@ proptest! {
             let (want, want_docs, _) = mem.conjunctive_search_ranked(&query, top_k).unwrap();
             let (got, _, _) = nocache.conjunctive_search_ranked(&query, top_k).unwrap();
             prop_assert_eq!(&got, &want, "cache-off diverged for {:?}", &query);
-            let (got, _, _) = seg.conjunctive_search_ranked(&query, top_k).unwrap();
-            prop_assert_eq!(&got, &want, "segment diverged for {:?}", &query);
             let (got, _, _) = gen.conjunctive_search_ranked(&query, top_k).unwrap();
             prop_assert_eq!(&got, &want, "generational diverged for {:?}", &query);
             let (sharded_docs, outcome) = sharded.conjunctive_search(&query, top_k).unwrap();
@@ -235,8 +228,6 @@ proptest! {
                     let (want, _, _) = mem.conjunctive_search_ranked(&query, top_k).unwrap();
                     let (got, _, _) = nocache.conjunctive_search_ranked(&query, top_k).unwrap();
                     prop_assert_eq!(&got, &want, "cache-off sweep {:?}", &query);
-                    let (got, _, _) = seg.conjunctive_search_ranked(&query, top_k).unwrap();
-                    prop_assert_eq!(&got, &want, "segment sweep {:?}", &query);
                     let (got, _, _) = gen.conjunctive_search_ranked(&query, top_k).unwrap();
                     prop_assert_eq!(&got, &want, "generational sweep {:?}", &query);
                     let (_, outcome) = sharded.conjunctive_search(&query, top_k).unwrap();
@@ -245,7 +236,6 @@ proptest! {
             }
         }
         sharded.shutdown();
-        let _ = std::fs::remove_file(&seg_path);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }
