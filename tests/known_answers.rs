@@ -13,17 +13,24 @@
 //! The primitives under the index are pinned one by one as well — the
 //! `Tape` coin stream, `hygeinv` draws, and OPM ciphertexts — so a
 //! faster HMAC or sampler that changes an output fails at the layer that
-//! broke, not only in the whole-index digest.
+//! broke, not only in the whole-index digest. The basic scheme's index,
+//! the other half of the owner's `Setup`, is pinned beside the RSSE one.
 
 use rsse::cloud::FileCrypter;
 use rsse::core::{Rsse, RsseIndex, RsseParams};
 use rsse::crypto::{Digest, SecretKey, Sha256, Tape};
 use rsse::hgd::{hygeinv, MAX_POPULATION};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
+use rsse::ir::InvertedIndex;
 use rsse::opse::{Opm, OpseParams};
+use rsse::sse::BasicScheme;
 
 /// SHA-256 of `RsseIndex::save` over [`corpus`] under [`SEED`].
 const INDEX_SHA256: &str = "771c6d9a987c1d35d7dea3b2963e5a72b5137a63a2b9309a5593ebfe8f6fe098";
+
+/// SHA-256 over the basic scheme's index of [`corpus`] under [`SEED`]:
+/// `export_parts` in label order, each label followed by its entries.
+const BASIC_INDEX_SHA256: &str = "e959f681547ec712af74ee0b8f2304006efe5259aee24b1e8191c2a0876dafe8";
 
 /// SHA-256 over the concatenated `FileCrypter` ciphertexts of [`corpus`]
 /// under [`SEED`], in document order.
@@ -44,6 +51,15 @@ const TAPE_64: [&str; 2] = [
      a63ec8b26404c88578a452fb2f1dcbcda61699e4c5c62023ac72f0ea1b8fc87a",
     "b859937dae4069c2a41821aee5a473d524605c6833d3fb05db2b3feaa2441445\
      ae36d1bc38b735f0fa5a4c49b11d61088a473fb0baa95fd5b7a1429b3f9de716",
+];
+
+/// SHA-256 of the first [`LONG_TAPE_LEN`] bytes of the same two tapes.
+/// 40,000 bytes is 1,250 blocks, so the big-endian block counter carries
+/// out of its low byte (block 255 → 256) well inside the stream.
+const LONG_TAPE_LEN: usize = 40_000;
+const LONG_TAPE_SHA256: [&str; 2] = [
+    "095979dfcc51bee10f92a0d8ff8e859ef0d48b4ce631633d12303f942c5a8084",
+    "ad8c8482aa871c4284d25274027209975bc2f284f8c14a30b1f397c7d4e44a29",
 ];
 
 /// `(m, N, n)` and the first four `hygeinv(tape, m, N, n)` draws off a
@@ -100,6 +116,23 @@ fn saved_index_bytes_match_pin() {
 }
 
 #[test]
+fn basic_index_matches_pin() {
+    let corpus = corpus();
+    let plaintext = InvertedIndex::build(corpus.documents());
+    let index = BasicScheme::new(SEED)
+        .build_index(&plaintext, Default::default())
+        .unwrap();
+    let mut digest = Sha256::new();
+    for (label, entries) in index.export_parts() {
+        digest.update(&label);
+        for entry in &entries {
+            digest.update(entry);
+        }
+    }
+    assert_eq!(hex(&digest.finalize()), BASIC_INDEX_SHA256);
+}
+
+#[test]
 fn file_ciphertexts_match_pin() {
     let corpus = corpus();
     let mut digest = Sha256::new();
@@ -131,6 +164,18 @@ fn tape_streams_match_pin() {
         let mut out = [0u8; 64];
         Tape::new(key, TAPE_TRANSCRIPT).fill_bytes(&mut out);
         assert_eq!(hex(&out), want);
+    }
+}
+
+#[test]
+fn long_tape_streams_match_pin() {
+    for (key, want) in [key_00_1f(), SecretKey::derive(SEED, "tape")]
+        .iter()
+        .zip(LONG_TAPE_SHA256)
+    {
+        let mut out = vec![0u8; LONG_TAPE_LEN];
+        Tape::new(key, TAPE_TRANSCRIPT).fill_bytes(&mut out);
+        assert_eq!(hex(&Sha256::digest(&out)), want);
     }
 }
 
