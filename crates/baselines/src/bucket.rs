@@ -11,7 +11,7 @@
 //! whereas the OPM handles any in-domain score for free.
 
 use rsse_crypto::tape::Transcript;
-use rsse_crypto::{SecretKey, Tape};
+use rsse_crypto::{Hmac, SecretKey, Sha256, Tape};
 
 /// Errors from the static bucket mapper.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +72,8 @@ pub struct BucketMapper {
     /// `[boundaries[i], boundaries[i+1])`, the last bucket is inclusive.
     boundaries: Vec<f64>,
     per_bucket: u64,
-    key: SecretKey,
+    /// The jitter key's HMAC state, keyed once for every per-file tape.
+    key: Hmac<Sha256>,
 }
 
 impl BucketMapper {
@@ -108,7 +109,7 @@ impl BucketMapper {
         Ok(BucketMapper {
             per_bucket: range / boundaries.len().max(1) as u64,
             boundaries,
-            key,
+            key: Hmac::new(key.as_bytes()),
         })
     }
 
@@ -144,7 +145,7 @@ impl BucketMapper {
             .u64(score.to_bits())
             .bytes(file_id)
             .finish();
-        let mut tape = Tape::new(&self.key, &transcript);
+        let mut tape = Tape::new_keyed(&self.key, &transcript);
         Ok(bucket as u64 * self.per_bucket + tape.uniform_below(self.per_bucket.max(1)))
     }
 }

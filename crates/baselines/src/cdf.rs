@@ -12,7 +12,7 @@
 use rsse_analysis::ks_statistic;
 use rsse_analysis::Histogram;
 use rsse_crypto::tape::Transcript;
-use rsse_crypto::{SecretKey, Tape};
+use rsse_crypto::{Hmac, SecretKey, Sha256, Tape};
 
 /// Errors from the trained CDF mapper.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +65,8 @@ pub struct CdfMapper {
     /// Jitter budget: strictly below the range resolution of one quantile
     /// step, so jitter can never reorder distinct quantiles.
     jitter: u64,
-    key: SecretKey,
+    /// The jitter key's HMAC state, keyed once for every per-file tape.
+    key: Hmac<Sha256>,
 }
 
 impl CdfMapper {
@@ -88,7 +89,7 @@ impl CdfMapper {
             jitter: step.max(1),
             quantiles,
             range,
-            key,
+            key: Hmac::new(key.as_bytes()),
         })
     }
 
@@ -127,7 +128,7 @@ impl CdfMapper {
             .u64(score.to_bits())
             .bytes(file_id)
             .finish();
-        let mut tape = Tape::new(&self.key, &transcript);
+        let mut tape = Tape::new_keyed(&self.key, &transcript);
         Ok(base + tape.uniform_below(self.jitter))
     }
 

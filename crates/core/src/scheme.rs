@@ -7,7 +7,7 @@ use crate::index::{Label, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
 use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
-use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SemanticCipher, Tape};
+use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SemanticCipher};
 use rsse_ir::score::{scores_for_term_with, CollectionStats};
 use rsse_ir::{Document, FileId, InvertedIndex, ScoreQuantizer, Tokenizer};
 use rsse_opse::{Opm, OpseParams};
@@ -32,8 +32,14 @@ pub struct BuildReport {
     pub range_bits: u32,
     /// Wall-clock time of the whole build.
     pub build_time: Duration,
-    /// Portion spent scoring/encoding (the "raw index" cost, without OPM).
+    /// Per-list setup before the first entry is written: label, list key,
+    /// coin tape and scoring (the "raw index" cost). Entry encryption,
+    /// OPM and padding come after it and are not included.
     pub raw_index_time: Duration,
+    /// Portion spent in the one-to-many order-preserving mapping.
+    pub opm_time: Duration,
+    /// Portion spent drawing padding entries off the coin tape.
+    pub padding_time: Duration,
 }
 
 impl BuildReport {
@@ -81,6 +87,12 @@ impl BuildReport {
 #[derive(Debug)]
 pub struct Rsse {
     keys: KeyMaterial,
+    /// `π_x`, `f_y` and `f_z` (the latter also keys the build's coin
+    /// tapes), keyed once so per-keyword evaluations skip the HMAC pad
+    /// blocks.
+    label: KeyedLabel,
+    entry_prf: Prf,
+    score_prf: Prf,
     params: RsseParams,
     tokenizer: Tokenizer,
 }
@@ -88,16 +100,15 @@ pub struct Rsse {
 impl Rsse {
     /// `KeyGen`: derives the key triple from a master seed.
     pub fn new(master_seed: &[u8], params: RsseParams) -> Self {
-        Rsse {
-            keys: KeyMaterial::from_master_seed(master_seed),
-            params,
-            tokenizer: Tokenizer::new(),
-        }
+        Self::with_keys(KeyMaterial::from_master_seed(master_seed), params)
     }
 
     /// Builds the scheme from explicit key material.
     pub fn with_keys(keys: KeyMaterial, params: RsseParams) -> Self {
         Rsse {
+            label: KeyedLabel::new(keys.label_key()),
+            entry_prf: Prf::new(keys.entry_key()),
+            score_prf: Prf::new(keys.score_key()),
             keys,
             params,
             tokenizer: Tokenizer::new(),
@@ -131,15 +142,14 @@ impl Rsse {
     pub fn trapdoor(&self, query: &str) -> Result<RsseTrapdoor, RsseError> {
         let keyword = self.canonical_keyword(query)?;
         Ok(RsseTrapdoor::from_parts(
-            KeyedLabel::new(self.keys.label_key()).label(keyword.as_bytes()),
-            Prf::new(self.keys.entry_key()).derive_key(keyword.as_bytes()),
+            self.label.label(keyword.as_bytes()),
+            self.entry_prf.derive_key(keyword.as_bytes()),
         ))
     }
 
     /// The per-keyword OPM instance `OPM_{f_z(w)}` (owner-side).
     pub fn opm_for(&self, keyword: &str, opse: OpseParams) -> Opm {
-        let key = Prf::new(self.keys.score_key()).derive_key(keyword.as_bytes());
-        Opm::new(key, opse)
+        Opm::new(self.score_prf.derive_key(keyword.as_bytes()), opse)
     }
 
     /// Fits the score quantizer over a plaintext index — the owner's
@@ -188,14 +198,15 @@ impl Rsse {
         let opse = self.resolve_opse(index);
         let nu = self.padding_target(index)?;
 
-        let mut raw_time = Duration::ZERO;
-        let mut opm_ops = 0u64;
+        let mut totals = ListStats::default();
         let mut lists: HashMap<Label, Vec<Vec<u8>>> = HashMap::with_capacity(index.num_keywords());
         for (term, _) in index.iter() {
             let (label, list, stats) =
                 self.build_posting_list(index, term, &quantizer, opse, nu)?;
-            raw_time += stats.raw_time;
-            opm_ops += stats.opm_ops;
+            totals.raw_time += stats.raw_time;
+            totals.opm_time += stats.opm_time;
+            totals.padding_time += stats.padding_time;
+            totals.opm_ops += stats.opm_ops;
             lists.insert(label, list);
         }
         let built = RsseIndex::from_lists(lists, opse);
@@ -204,10 +215,12 @@ impl Rsse {
             num_docs: index.num_docs(),
             padded_len: nu,
             index_bytes: built.size_bytes(),
-            opm_operations: opm_ops,
+            opm_operations: totals.opm_ops,
             range_bits: opse.range_bits(),
             build_time: started.elapsed(),
-            raw_index_time: raw_time,
+            raw_index_time: totals.raw_time,
+            opm_time: totals.opm_time,
+            padding_time: totals.padding_time,
         };
         Ok((built, report))
     }
@@ -331,7 +344,7 @@ impl Rsse {
         index
             .iter()
             .map(|(term, _)| {
-                let label = KeyedLabel::new(self.keys.label_key()).label(term.as_bytes());
+                let label = self.label.label(term.as_bytes());
                 let owners = scores_for_term_with(index, term, self.params.scoring)
                     .into_iter()
                     .map(|(file, _)| file)
@@ -396,11 +409,10 @@ impl Rsse {
         nu: usize,
     ) -> Result<(Label, Vec<Vec<u8>>, ListStats), RsseError> {
         let raw_started = Instant::now();
-        let label = KeyedLabel::new(self.keys.label_key()).label(term.as_bytes());
-        let list_key = Prf::new(self.keys.entry_key()).derive_key(term.as_bytes());
+        let label = self.label.label(term.as_bytes());
+        let list_key = self.entry_prf.derive_key(term.as_bytes());
         let entry_cipher = SemanticCipher::new(&list_key);
-        let mut tape = Tape::new(
-            self.keys.score_key(),
+        let mut tape = self.score_prf.tape(
             &Transcript::new("rsse/build")
                 .bytes(term.as_bytes())
                 .finish(),
@@ -410,27 +422,40 @@ impl Rsse {
 
         let opm = self.opm_for(term, opse);
         let mut list = Vec::with_capacity(nu.max(scored.len()));
+        let mut opm_time = Duration::ZERO;
         let mut opm_ops = 0u64;
         for (file, score) in scored {
             let level = quantizer.level(score);
+            let opm_started = Instant::now();
             let mapped = opm.encrypt(level, &file.to_bytes())?;
+            opm_time += opm_started.elapsed();
             opm_ops += 1;
             let plain = encode_entry(file, mapped);
             let mut nonce = [0u8; NONCE_LEN];
             tape.fill_bytes(&mut nonce);
             list.push(entry_cipher.encrypt_with_nonce(nonce, &plain));
         }
+        let padding_started = Instant::now();
         while list.len() < nu {
             let mut pad = vec![0u8; ENTRY_CT_LEN];
             tape.fill_bytes(&mut pad);
             list.push(pad);
         }
-        Ok((label, list, ListStats { raw_time, opm_ops }))
+        let stats = ListStats {
+            raw_time,
+            opm_time,
+            padding_time: padding_started.elapsed(),
+            opm_ops,
+        };
+        Ok((label, list, stats))
     }
 }
 
+#[derive(Default)]
 struct ListStats {
     raw_time: Duration,
+    opm_time: Duration,
+    padding_time: Duration,
     opm_ops: u64,
 }
 
@@ -563,11 +588,10 @@ impl IndexUpdater<'_> {
         let mut terms: Vec<(&str, u32)> = tf.into_iter().collect();
         terms.sort_unstable(); // deterministic op order
         for (term, count) in terms {
-            let label = KeyedLabel::new(self.scheme.keys.label_key()).label(term.as_bytes());
-            let list_key = Prf::new(self.scheme.keys.entry_key()).derive_key(term.as_bytes());
+            let label = self.scheme.label.label(term.as_bytes());
+            let list_key = self.scheme.entry_prf.derive_key(term.as_bytes());
             let entry_cipher = SemanticCipher::new(&list_key);
-            let mut tape = Tape::new(
-                self.scheme.keys.score_key(),
+            let mut tape = self.scheme.score_prf.tape(
                 &Transcript::new("rsse/update")
                     .bytes(term.as_bytes())
                     .u64(doc.id().as_u64())

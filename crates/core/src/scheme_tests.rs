@@ -145,7 +145,8 @@ fn build_report_statistics() {
     assert!(report.opm_operations > 0);
     assert_eq!(report.range_bits, 46);
     assert!(report.per_keyword_bytes() > 0.0);
-    assert!(report.build_time >= report.raw_index_time);
+    assert!(report.build_time >= report.raw_index_time + report.opm_time + report.padding_time);
+    assert!(report.opm_time > Duration::ZERO);
 }
 
 #[test]

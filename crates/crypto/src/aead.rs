@@ -10,8 +10,9 @@
 use crate::ct::ct_eq;
 use crate::ctr::{SemanticCipher, NONCE_LEN};
 use crate::error::CryptoError;
-use crate::hmac::hmac_sha256;
+use crate::hmac::Hmac;
 use crate::keys::SecretKey;
+use crate::sha256::Sha256;
 
 /// Length of the appended authentication tag.
 pub const TAG_LEN: usize = 32;
@@ -36,7 +37,8 @@ pub const TAG_LEN: usize = 32;
 #[derive(Clone)]
 pub struct AuthenticatedCipher {
     enc: SemanticCipher,
-    mac_key: SecretKey,
+    /// HMAC keyed once with the MAC subkey.
+    mac: Hmac<Sha256>,
 }
 
 impl core::fmt::Debug for AuthenticatedCipher {
@@ -50,17 +52,17 @@ impl AuthenticatedCipher {
     pub fn new(key: &SecretKey) -> Self {
         AuthenticatedCipher {
             enc: SemanticCipher::new(&key.subkey(b"aead/enc")),
-            mac_key: key.subkey(b"aead/mac"),
+            mac: Hmac::new(key.subkey(b"aead/mac").as_bytes()),
         }
     }
 
     fn tag(&self, frame: &[u8], associated_data: &[u8]) -> [u8; TAG_LEN] {
         // Length-prefix the AD so (ad, frame) splits cannot collide.
-        let mut input = Vec::with_capacity(8 + associated_data.len() + frame.len());
-        input.extend_from_slice(&(associated_data.len() as u64).to_be_bytes());
-        input.extend_from_slice(associated_data);
-        input.extend_from_slice(frame);
-        hmac_sha256(self.mac_key.as_bytes(), &input)
+        let mut mac = self.mac.clone();
+        mac.update(&(associated_data.len() as u64).to_be_bytes());
+        mac.update(associated_data);
+        mac.update(frame);
+        mac.finalize()
     }
 
     /// Encrypts and authenticates `plaintext`, binding `associated_data`
@@ -119,6 +121,18 @@ mod tests {
             let ct = a.seal([len as u8; NONCE_LEN], &pt, b"ad");
             assert_eq!(a.open(&ct, b"ad").unwrap(), pt, "len {len}");
         }
+    }
+
+    #[test]
+    fn tag_is_the_hmac_of_the_length_prefixed_ad_and_frame() {
+        let key = SecretKey::derive(b"aead tests", "k");
+        let ct = aead().seal([5; NONCE_LEN], b"body", b"file-7");
+        let (frame, tag) = ct.split_at(ct.len() - TAG_LEN);
+        let mut input = 6u64.to_be_bytes().to_vec();
+        input.extend_from_slice(b"file-7");
+        input.extend_from_slice(frame);
+        let want = crate::hmac_sha256(key.subkey(b"aead/mac").as_bytes(), &input);
+        assert_eq!(tag, want);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The paper's two keyed functions: the PRF `f` and the label hash `pi`.
 
-use crate::hmac::{hmac_sha1, hmac_sha256};
+use crate::hmac::Hmac;
 use crate::keys::SecretKey;
+use crate::sha1::Sha1;
+use crate::sha256::Sha256;
+use crate::tape::Tape;
 
 /// The pseudo-random function `f : {0,1}^k x {0,1}* -> {0,1}^256`.
 ///
 /// The paper uses `f_y(w)` to derive the per-posting-list entry-encryption
 /// key and `f_z(w)` to derive per-list OPM keys. Instantiated as
-/// HMAC-SHA-256.
+/// HMAC-SHA-256, keyed once at construction.
 ///
 /// # Example
 ///
@@ -20,7 +23,7 @@ use crate::keys::SecretKey;
 /// ```
 #[derive(Clone)]
 pub struct Prf {
-    key: SecretKey,
+    mac: Hmac<Sha256>,
 }
 
 impl core::fmt::Debug for Prf {
@@ -32,12 +35,20 @@ impl core::fmt::Debug for Prf {
 impl Prf {
     /// Creates the PRF keyed with `key`.
     pub fn new(key: &SecretKey) -> Self {
-        Prf { key: key.clone() }
+        Prf {
+            mac: Hmac::new(key.as_bytes()),
+        }
     }
 
     /// Evaluates `f_key(input)` to 32 bytes.
     pub fn eval(&self, input: &[u8]) -> [u8; 32] {
-        hmac_sha256(self.key.as_bytes(), input)
+        self.mac.tag(input)
+    }
+
+    /// The coin tape `Tape::new(key, transcript)` under this PRF's key,
+    /// opened from the already keyed state.
+    pub fn tape(&self, transcript: &[u8]) -> Tape {
+        Tape::new_keyed(&self.mac, transcript)
     }
 
     /// Evaluates the PRF and wraps the output as a [`SecretKey`] — the
@@ -66,7 +77,7 @@ impl Prf {
 /// ```
 #[derive(Clone)]
 pub struct KeyedLabel {
-    key: SecretKey,
+    mac: Hmac<Sha1>,
 }
 
 impl core::fmt::Debug for KeyedLabel {
@@ -81,12 +92,14 @@ pub type Label = [u8; 20];
 impl KeyedLabel {
     /// Creates the label function keyed with `key` (the paper's `x`).
     pub fn new(key: &SecretKey) -> Self {
-        KeyedLabel { key: key.clone() }
+        KeyedLabel {
+            mac: Hmac::new(key.as_bytes()),
+        }
     }
 
     /// Computes the 160-bit label `pi_x(word)`.
     pub fn label(&self, word: &[u8]) -> Label {
-        hmac_sha1(self.key.as_bytes(), word)
+        self.mac.tag(word)
     }
 }
 
@@ -106,6 +119,16 @@ mod tests {
         let p1 = Prf::new(&SecretKey::derive(b"s", "y1"));
         let p2 = Prf::new(&SecretKey::derive(b"s", "y2"));
         assert_ne!(p1.eval(b"a"), p2.eval(b"a"));
+    }
+
+    #[test]
+    fn prf_tape_is_the_tape_under_the_prf_key() {
+        let key = SecretKey::derive(b"s", "z");
+        let mut from_prf = Prf::new(&key).tape(b"transcript");
+        let mut direct = Tape::new(&key, b"transcript");
+        for _ in 0..10 {
+            assert_eq!(from_prf.next_u64(), direct.next_u64());
+        }
     }
 
     #[test]

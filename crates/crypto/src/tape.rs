@@ -11,9 +11,16 @@
 //! [`Tape`] is an HMAC-DRBG-style expander: `seed = HMAC(K, transcript)`,
 //! block_i = `HMAC(seed, i)`. [`Transcript`] provides the canonical,
 //! injective encoding of the tuple.
+//!
+//! The tape keeps the seed's keyed HMAC state, so each 32-byte block costs
+//! two SHA-256 compressions (message block and outer hash), not the four
+//! of a one-shot HMAC that re-absorbs the seed's pad blocks every time.
+//! Callers that open many tapes under one key hold that key's keyed state
+//! too and open tapes with [`Tape::new_keyed`].
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::Hmac;
 use crate::keys::SecretKey;
+use crate::sha256::Sha256;
 
 /// Canonical injective encoder for `TapeGen` inputs.
 ///
@@ -91,7 +98,8 @@ impl Transcript {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tape {
-    seed: [u8; 32],
+    /// HMAC keyed with `seed = HMAC(K, transcript)`.
+    seed: Hmac<Sha256>,
     block: [u8; 32],
     block_index: u64,
     offset: usize,
@@ -100,9 +108,27 @@ pub struct Tape {
 impl Tape {
     /// Creates a tape from `key` and an encoded transcript.
     pub fn new(key: &SecretKey, transcript: &[u8]) -> Self {
-        let seed = hmac_sha256(key.as_bytes(), transcript);
+        Self::new_keyed(&Hmac::new(key.as_bytes()), transcript)
+    }
+
+    /// Creates a tape from the keyed HMAC state of `K` and an encoded
+    /// transcript. The stream equals `Tape::new(K, transcript)`; holding
+    /// the keyed state saves two compressions per tape.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rsse_crypto::{Hmac, SecretKey, Sha256, Tape};
+    ///
+    /// let key = SecretKey::derive(b"seed", "opse");
+    /// let keyed = Hmac::<Sha256>::new(key.as_bytes());
+    /// let mut a = Tape::new_keyed(&keyed, b"node 1");
+    /// let mut b = Tape::new(&key, b"node 1");
+    /// assert_eq!(a.next_u64(), b.next_u64());
+    /// ```
+    pub fn new_keyed(key: &Hmac<Sha256>, transcript: &[u8]) -> Self {
         let mut tape = Tape {
-            seed,
+            seed: Hmac::new(&key.tag(transcript)),
             block: [0u8; 32],
             block_index: 0,
             offset: 32, // force refill on first read
@@ -112,19 +138,22 @@ impl Tape {
     }
 
     fn refill(&mut self) {
-        self.block = hmac_sha256(&self.seed, &self.block_index.to_be_bytes());
+        self.block = self.seed.tag(&self.block_index.to_be_bytes());
         self.block_index += 1;
         self.offset = 0;
     }
 
     /// Fills `out` with pseudorandom bytes.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for b in out.iter_mut() {
+    pub fn fill_bytes(&mut self, mut out: &mut [u8]) {
+        while !out.is_empty() {
             if self.offset == 32 {
                 self.refill();
             }
-            *b = self.block[self.offset];
-            self.offset += 1;
+            let take = (32 - self.offset).min(out.len());
+            let (head, rest) = out.split_at_mut(take);
+            head.copy_from_slice(&self.block[self.offset..self.offset + take]);
+            self.offset += take;
+            out = rest;
         }
     }
 

@@ -14,7 +14,7 @@ use crate::entry::{decode_entry, encode_entry, ENTRY_CT_LEN, SCORE_CT_LEN};
 use crate::error::SseError;
 use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
-use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SecretKey, SemanticCipher, Tape};
+use rsse_crypto::{Hmac, KeyMaterial, KeyedLabel, Prf, SecretKey, SemanticCipher, Sha256, Tape};
 use rsse_ir::{FileId, InvertedIndex, Tokenizer};
 use std::collections::HashMap;
 
@@ -233,12 +233,14 @@ impl BasicScheme {
         let pi = KeyedLabel::new(self.keys.label_key());
         let f = Prf::new(self.keys.entry_key());
         let score_cipher = SemanticCipher::new(self.keys.score_key());
+        // `z` keyed once for the per-keyword tapes below.
+        let coins = Hmac::<Sha256>::new(self.keys.score_key().as_bytes());
 
         let mut lists = HashMap::with_capacity(index.num_keywords());
         for (term, postings) in index.iter() {
             // Deterministic per-keyword randomness tape for nonces/padding.
-            let mut tape = Tape::new(
-                self.keys.score_key(),
+            let mut tape = Tape::new_keyed(
+                &coins,
                 &Transcript::new("sse/build").bytes(term.as_bytes()).finish(),
             );
             let list_key = f.derive_key(term.as_bytes());

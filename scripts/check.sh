@@ -13,10 +13,17 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-# The root `cargo test` runs only the root package. The crypto crate's
-# FIPS-197 / SP 800-38A vectors, its known-answer pins, and the proptest
-# holding the T-table AES rounds equal to the spec-form cipher live in
-# rsse-crypto itself.
+# The root `cargo test` runs only the root package. Every member crate's
+# unit tests and proptests (the OPM, HGD and search-tree suites sit
+# directly on the coin tape) and rsse-core's integration suites run here.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
+# Named again so a filtered local run cannot skip them: the crypto
+# crate's FIPS-197 / SP 800-38A and RFC 4231 / 2202 vectors, its
+# known-answer pins, the proptests holding the T-table AES rounds and the
+# keyed HMAC state equal to their spec forms, and the zero-allocation pin
+# of the HMAC and tape paths.
 echo "==> cargo test -q -p rsse-crypto"
 cargo test -q -p rsse-crypto
 
